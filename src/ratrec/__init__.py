@@ -13,19 +13,17 @@ from ratrec.core import (
     CoefficientStream,
     InitialConditions,
     BlockIndex,
+    SingularReport,
     Trajectory,
     decompose_index,
-    recompose_index,
 )
 from ratrec.engine import (
-    SingularReport,
     SingularityError,
     step,
     iterate,
-    detect_singularity,
     v_sequence,
 )
-from ratrec.reduced import v_step, v_closed, v_closed_constant
+from ratrec.reduced import v_step, v_values, v_closed, v_closed_constant
 from ratrec.closed_form import (
     x_closed,
     x_closed_constant,
@@ -42,14 +40,13 @@ __all__ = [
     "BlockIndex",
     "Trajectory",
     "decompose_index",
-    "recompose_index",
     "SingularReport",
     "SingularityError",
     "step",
     "iterate",
-    "detect_singularity",
     "v_sequence",
     "v_step",
+    "v_values",
     "v_closed",
     "v_closed_constant",
     "x_closed",

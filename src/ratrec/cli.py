@@ -8,8 +8,9 @@ Modes:
 
 Configuration comes from a JSON file (--config) with flag overrides.
 Exact values are always printed as "p/q" strings; floats appear only in
-symmetry reports.  Exit codes: 0 success, 1 verification failure,
-2 config error, 3 mathematical domain error.
+symmetry reports.  Exit codes: 0 success, 1 verification failure (a
+verify mismatch, or a symmetry verdict that fails), 2 config error, 3
+mathematical domain error (including a list stream's horizon).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from ratrec.closed_form import (
 )
 from ratrec.core import (
     CoefficientStream,
+    HorizonError,
     InitialConditions,
     format_rational,
     parse_rational,
@@ -139,7 +141,13 @@ def emit(records: List[Dict], fmt: str, out) -> None:
 
 
 def cmd_iterate(cfg: RunConfig, fmt: str, out) -> int:
-    traj = iterate(cfg.initial, cfg.coefficients, cfg.horizon)
+    if cfg.horizon < 0:
+        raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
+    try:
+        traj = iterate(cfg.initial, cfg.coefficients, cfg.horizon)
+    except HorizonError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     records = [{"m": m, "x": format_rational(traj.x(m)), "status": "ok",
                 "step": "", "cause": ""}
                for m in range(-3, traj.last_index + 1)]
@@ -178,18 +186,19 @@ def cmd_closed(cfg: RunConfig, fmt: str, out) -> int:
 
 
 def cmd_verify(cfg: RunConfig, fmt: str, out, corrupt: bool = False) -> int:
+    if cfg.horizon < 0:
+        raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
     report = run_verification(trials=cfg.trials, horizon=cfg.horizon,
                               seed=cfg.seed, corrupt=corrupt)
-    records = [{
+    record = {
         "trials_run": report.trials_run,
         "trials_skipped": report.trials_skipped,
         "max_symmetry_residual": report.max_symmetry_residual,
         "all_exact_match": report.all_exact_match,
-    }]
-    ok = report.all_exact_match and report.max_symmetry_residual <= cfg.tolerance
+    }
     if report.witness is not None:
         w = report.witness
-        records.append({
+        record.update({
             "witness_seeds": ",".join(format_rational(v) for v in w.seeds.as_tuple()),
             "witness_stream": w.stream.kind + ":" + ";".join(
                 f"{format_rational(a)},{format_rational(b)}" for a, b in w.stream.pairs),
@@ -197,23 +206,15 @@ def cmd_verify(cfg: RunConfig, fmt: str, out, corrupt: bool = False) -> int:
             "witness_expected": format_rational(w.expected),
             "witness_got": format_rational(w.got),
         })
-        # heterogeneous records: emit each block separately for CSV
-        emit(records[:1], fmt, out)
-        emit(records[1:], fmt, out)
-    else:
-        emit(records, fmt, out)
+    emit([record], fmt, out)
+    ok = report.all_exact_match and report.max_symmetry_residual <= cfg.tolerance
     return 0 if ok else 1
 
 
 def cmd_symmetry(cfg: RunConfig, fmt: str, out) -> int:
-    rng = random.Random(cfg.seed)
-    count = cfg.trials if cfg.trials else 500
-    samples = [
-        (rng.randrange(0, 24),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        for _ in range(count)
-    ]
+    if cfg.trials < 1:
+        raise ConfigError(f"symmetry needs trials >= 1, got {cfg.trials}")
+    samples = symmetry.random_samples(random.Random(cfg.seed), cfg.trials)
     chars = symmetry.builtin_characteristics()
     control = symmetry.custom(lambda n: complex(1.0, 0.0), label="control-g1")
     records = []
@@ -225,7 +226,7 @@ def cmd_symmetry(cfg: RunConfig, fmt: str, out) -> int:
     records.append({"characteristic": control.label, "max_residual": worst,
                     "pass": worst > cfg.tolerance})
     emit(records, fmt, out)
-    return 0
+    return 0 if all(rec["pass"] for rec in records) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

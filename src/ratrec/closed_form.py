@@ -1,27 +1,30 @@
 """Closed-form evaluation of x_m without iterating the recurrence.
 
-Decompose m = 6n + j - 3.  With w = x_{-3} x_0 and
+Decompose m = 6n + j - 3.  With V_t the reduced values V_{t+1} = a_t V_t + b_t
+from V_0 = 1/w, w = x_{-3} x_0 (``reduced.v_values``), the solution is
 
-    T(t) = prod_{k=0}^{t-1} a_k  +  w * sum_{l=0}^{t-1} b_l prod_{k=l+1}^{t-1} a_k
-
-(the numerator/denominator polynomial; T(t) = w * V_t), the solution is
-
-    x_m = prefactor(j) * prod_{s=0}^{n-1} T(6s+j) / T(6s+j+3)
+    x_m = prefactor(j) * prod_{s=0}^{n-1} V_{6s+j} / V_{6s+j+3}
 
 where prefactor(j) is the seed x_{j-3} for j <= 3 and the explicit
-x_1 / x_2 expressions for j = 4, 5.  The running index inside the block
-product is s; the published bounds read 6n+j, which cannot be right (the
-factors would not depend on s) and the telescoped ratio V_{6s+j}/V_{6s+j+3}
-forces the s-reading, confirmed against the iteration oracle.
+x_1 / x_2 expressions for j = 4, 5.  The paper states the factors as the
+numerator/denominator polynomial
 
-T values are advanced one coefficient at a time, so x_m costs O(m)
+    T(t) = prod_{k=0}^{t-1} a_k  +  w * sum_{l=0}^{t-1} b_l prod_{k=l+1}^{t-1} a_k,
+
+which is w * V_t; w cancels in every ratio, so the product folds V directly.
+The running index inside the block product is s; the published bounds read
+6n+j, which cannot be right (the factors would not depend on s) and the
+telescoped ratio V_{6s+j}/V_{6s+j+3} forces the s-reading, confirmed
+against the iteration oracle.
+
+V values are advanced one coefficient at a time, so x_m costs O(m)
 rational operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import List
 
 from ratrec.core import (
     CoefficientStream,
@@ -29,6 +32,7 @@ from ratrec.core import (
     Rational,
     decompose_index,
 )
+from ratrec.reduced import v_values
 
 BRANCH_GENERAL = "general"
 BRANCH_A1 = "a1"
@@ -54,18 +58,6 @@ def _require_nonzero_seeds(ic: InitialConditions) -> Rational:
     return ic.x_m3 * ic.x_0
 
 
-def _t_values(coeffs: CoefficientStream, w: Rational, t_max: int) -> Iterator[Tuple[int, Rational]]:
-    """Yield (t, T(t)) for t = 0..t_max, advancing incrementally."""
-    prod = Fraction(1)
-    acc = Fraction(0)
-    yield 0, Fraction(1)
-    for k in range(t_max):
-        a_k, b_k = coeffs.at(k)
-        prod *= a_k
-        acc = acc * a_k + b_k
-        yield k + 1, prod + w * acc
-
-
 def prefactor(j: int, ic: InitialConditions, coeffs: CoefficientStream) -> Rational:
     """Block prefactor: the seed x_{j-3} for j <= 3, else the explicit
     x_1 (j = 4) or x_2 (j = 5) expression in the initial values."""
@@ -88,29 +80,29 @@ def prefactor(j: int, ic: InitialConditions, coeffs: CoefficientStream) -> Ratio
 
 
 def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Rational:
-    """x_m from the six-residue-class closed form, exactly."""
+    """x_m from the six-residue-class closed form, exactly.
+
+    The class-j slice of the ``x_closed_all`` recursion, streamed: only the
+    running products of the numerator and denominator factors are kept.
+    """
     w = _require_nonzero_seeds(ic)
     block = decompose_index(m)
     n, j = block.n, block.j
     result = prefactor(j, ic, coeffs)
     if n == 0:
         return result
-    wanted: Dict[int, int] = {}
-    for s in range(n):
-        wanted[6 * s + j] = wanted.get(6 * s + j, 0) + 1       # numerator power
-        wanted[6 * s + j + 3] = wanted.get(6 * s + j + 3, 0) - 1
     num = Fraction(1)
     den = Fraction(1)
-    for t, value in _t_values(coeffs, w, 6 * (n - 1) + j + 3):
-        p = wanted.get(t, 0)
-        if p == 0:
-            continue
-        if p > 0:
-            num *= value ** p
-        else:
-            if value == 0:
-                raise SingularClosedFormError(f"block denominator T({t}) vanished")
-            den *= value ** (-p)
+    # with r = t - j: V_t is a numerator factor when r = 6s, a denominator
+    # factor when r = 6s + 3, for s = 0..n-1
+    for t, v in enumerate(v_values(1 / w, coeffs, 6 * n + j - 3)):
+        r = t - j
+        if r % 6 == 0:
+            num *= v
+        elif r % 6 == 3 and r > 0:
+            if v == 0:
+                raise SingularClosedFormError(f"block denominator V({t}) vanished")
+            den *= v
     return result * num / den
 
 
@@ -118,7 +110,7 @@ def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
                  horizon: int) -> List[Rational]:
     """All closed-form values x_{-3}..x_{horizon} in O(horizon) operations.
 
-    Uses the residue-class recursion R(t) = R(t-6) * T(t-6) / T(t-3) on
+    Uses the residue-class recursion R(t) = R(t-6) * V(t-6) / V(t-3) on
     u-indices t, seeded by the six prefactors; equal value-for-value to
     calling ``x_closed`` per index.
     """
@@ -126,53 +118,32 @@ def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
         raise ValueError(f"horizon must be >= -3, got {horizon}")
     w = _require_nonzero_seeds(ic)
     t_top = horizon + 3
-    t_vals = [value for _, value in _t_values(coeffs, w, max(t_top - 3, 0))]
+    vs = list(v_values(1 / w, coeffs, max(t_top - 3, 0)))
     out: List[Rational] = []
     for t in range(t_top + 1):
         if t < 6:
             out.append(prefactor(t, ic, coeffs))
             continue
-        den = t_vals[t - 3]
+        den = vs[t - 3]
         if den == 0:
-            raise SingularClosedFormError(f"block denominator T({t - 3}) vanished")
-        out.append(out[t - 6] * t_vals[t - 6] / den)
+            raise SingularClosedFormError(f"block denominator V({t - 3}) vanished")
+        out.append(out[t - 6] * vs[t - 6] / den)
     return out
 
 
-def _geometric_t(a: Rational, q: Rational, t: int) -> Rational:
-    """T(t) for constant coefficients, a != 1: a^t + q (1 - a^t)/(1 - a),
-    with q = b x_{-3} x_0."""
-    at = a ** t
-    return at + q * (1 - at) / (1 - a)
-
-
 def x_closed_constant(ic: InitialConditions, a: Rational, b: Rational, m: int) -> Rational:
-    """Constant-coefficient x_m, dispatching on a = 1, a = -1, or general a."""
+    """Constant-coefficient x_m: the power form for a = -1, else the
+    general kernel on the constant stream (the paper's a = 1 and a != 1
+    cases both reduce to it)."""
     a, b = Fraction(a), Fraction(b)
     if a == -1:
         return x_closed_a_neg1(ic, b, m)
-    w = _require_nonzero_seeds(ic)
-    q = b * w
-    block = decompose_index(m)
-    n, j = block.n, block.j
-    stream = CoefficientStream.constant(a, b)
-    result = prefactor(j, ic, stream)
-    for s in range(n):
-        if a == 1:
-            top = 1 + (6 * s + j) * q
-            bot = 1 + (6 * s + j + 3) * q
-        else:
-            top = _geometric_t(a, q, 6 * s + j)
-            bot = _geometric_t(a, q, 6 * s + j + 3)
-        if bot == 0:
-            raise SingularClosedFormError(f"block denominator vanished at s={s}")
-        result = result * top / bot
-    return result
+    return x_closed(ic, CoefficientStream.constant(a, b), m)
 
 
 def x_closed_a_neg1(ic: InitialConditions, b: Rational, m: int) -> Rational:
-    """The a = -1 special case: x_{6n+j-3} = x_{j-3} (-1 + b x_{-3}x_0)^{+-n},
-    exponent +n for odd j, -n for even j."""
+    """The a = -1 special case: x_{6n+j-3} = prefactor(j) (-1 + b x_{-3}x_0)^{+-n},
+    exponent +n for odd j, -n for even j; O(log n) operations."""
     b = Fraction(b)
     w = _require_nonzero_seeds(ic)
     base = -1 + b * w
@@ -180,10 +151,5 @@ def x_closed_a_neg1(ic: InitialConditions, b: Rational, m: int) -> Rational:
         raise SingularClosedFormError("a = -1 base (-1 + b x_{-3}x_0) vanished")
     block = decompose_index(m)
     n, j = block.n, block.j
-    if j <= 3:
-        pref = ic.as_tuple()[j]
-    elif j == 4:
-        pref = w / (ic.x_m2 * base)
-    else:
-        pref = w / ic.x_m1
+    pref = prefactor(j, ic, CoefficientStream.constant(-1, b))
     return pref * base ** (n if j % 2 == 1 else -n)

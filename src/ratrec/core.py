@@ -104,11 +104,6 @@ class CoefficientStream:
         return self.pairs[n]
 
 
-def stream_at(stream: CoefficientStream, n: int) -> Tuple[Rational, Rational]:
-    """Functional alias for ``stream.at(n)``."""
-    return stream.at(n)
-
-
 @dataclass(frozen=True)
 class InitialConditions:
     """The four seeds x_{-3}, x_{-2}, x_{-1}, x_0."""
@@ -158,8 +153,12 @@ def decompose_index(m: int) -> BlockIndex:
     return BlockIndex(n=u // 6, j=u % 6)
 
 
-def recompose_index(block: BlockIndex) -> int:
-    return block.x_index
+@dataclass(frozen=True)
+class SingularReport:
+    """First step n at which computing x_{n+1} failed, and why."""
+
+    step: int
+    cause: str  # engine.ZERO_X_FACTOR | engine.ZERO_BRACKET
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ class Trajectory:
     """
 
     values: Tuple[Rational, ...]
-    singular: Optional["SingularReportLike"] = field(default=None)
+    singular: Optional[SingularReport] = field(default=None)
 
     START_INDEX = -3
 
@@ -192,7 +191,3 @@ class Trajectory:
     def u(self, k: int) -> Rational:
         """Value at u-index k (u_k = x_{k-3})."""
         return self.x(k - 3)
-
-
-class SingularReportLike:
-    """Marker base so Trajectory can carry the engine's report without a cycle."""

@@ -12,28 +12,19 @@ Singularity is sticky: no values are produced past the first failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from ratrec.core import (
     CoefficientStream,
     InitialConditions,
     Rational,
-    SingularReportLike,
+    SingularReport,
     Trajectory,
 )
 
 ZERO_X_FACTOR = "zero-x-factor"
 ZERO_BRACKET = "zero-bracket"
-
-
-@dataclass(frozen=True)
-class SingularReport(SingularReportLike):
-    """First step n at which computing x_{n+1} failed, and why."""
-
-    step: int
-    cause: str  # ZERO_X_FACTOR | ZERO_BRACKET
 
 
 class SingularityError(ZeroDivisionError):
@@ -49,7 +40,9 @@ class UndefinedVError(ZeroDivisionError):
 def step(x_nm3: Rational, x_nm2: Rational, x_n: Rational,
          a_n: Rational, b_n: Rational, n: int = 0) -> Rational:
     """One application of the recurrence; raises SingularityError if the
-    denominator vanishes."""
+    denominator vanishes.  Works on exact rationals, floats and complex
+    numbers alike (in u-form: ``step(u_n, u_{n+1}, u_{n+3}, a_n, b_n)``
+    is u_{n+4})."""
     if x_nm2 == 0:
         raise SingularityError(SingularReport(step=n, cause=ZERO_X_FACTOR))
     bracket = a_n + b_n * x_nm3 * x_n
@@ -76,14 +69,6 @@ def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> T
             return Trajectory(values=tuple(values), singular=exc.report)
         values.append(nxt)
     return Trajectory(values=tuple(values))
-
-
-def detect_singularity(ic: InitialConditions, coeffs: CoefficientStream,
-                       horizon: int) -> Optional[SingularReport]:
-    """None if the trajectory is regular through ``horizon``, else the
-    first SingularReport."""
-    traj = iterate(ic, coeffs, horizon)
-    return traj.singular
 
 
 def v_sequence(traj: Trajectory) -> List[Rational]:

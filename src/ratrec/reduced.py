@@ -1,17 +1,18 @@
 """The reduced first-order linear recurrence V_{n+1} = a_n V_n + b_n.
 
-``v_closed`` evaluates the closed form
+``v_values`` is the one affine fold in the package.  Its values equal the
+closed form
 
     V_n = V_0 * prod_{k=0}^{n-1} a_k  +  sum_{l=0}^{n-1} b_l * prod_{k=l+1}^{n-1} a_k
 
-in a single left-to-right pass (running product and Horner-style running
-sum), O(n) rational operations instead of the literal O(n^2) nested
+at O(n) rational operations instead of the literal O(n^2) nested
 products.  Tests keep the literal form as the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from ratrec.core import CoefficientStream, Rational
 
@@ -20,17 +21,22 @@ def v_step(v: Rational, a_n: Rational, b_n: Rational) -> Rational:
     return a_n * v + b_n
 
 
-def v_closed(v0: Rational, coeffs: CoefficientStream, n: int) -> Rational:
-    """Closed-form V_n for the given coefficient stream, exactly."""
+def v_values(v0: Rational, coeffs: CoefficientStream, n: int) -> Iterator[Rational]:
+    """Yield V_0..V_n, folding ``v_step`` one coefficient at a time."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    prod = Fraction(1)
-    acc = Fraction(0)
+    v = Fraction(v0)
+    yield v
     for k in range(n):
-        a_k, b_k = coeffs.at(k)
-        prod *= a_k
-        acc = acc * a_k + b_k
-    return v0 * prod + acc
+        v = v_step(v, *coeffs.at(k))
+        yield v
+
+
+def v_closed(v0: Rational, coeffs: CoefficientStream, n: int) -> Rational:
+    """Closed-form V_n for the given coefficient stream, exactly."""
+    for v in v_values(v0, coeffs, n):
+        pass
+    return v
 
 
 def v_closed_constant(v0: Rational, a: Rational, b: Rational, n: int) -> Rational:

@@ -20,11 +20,12 @@ identities hold to the rounding of the table entries.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 from ratrec.core import Trajectory
-from ratrec.engine import v_sequence
+from ratrec.engine import step, v_sequence
 
 _HALF_ROOT3 = math.sqrt(3.0) / 2.0
 
@@ -81,15 +82,6 @@ def builtin_characteristics() -> List[Characteristic]:
     return [alternating(), gamma_char(), gamma_conjugate()]
 
 
-def phi(u_n, u_n1, u_n3, a_n, b_n):
-    """Right-hand side of the u-form recurrence.  Works on floats,
-    complexes, or exact rationals alike."""
-    den = u_n1 * (a_n + b_n * u_n * u_n3)
-    if den == 0:
-        raise ZeroDivisionError("recurrence denominator vanished")
-    return u_n * u_n3 / den
-
-
 def symmetry_residual(char: Characteristic, n: int,
                       u_n: float, u_n1: float, u_n3: float,
                       a_n: float, b_n: float) -> complex:
@@ -102,7 +94,7 @@ def symmetry_residual(char: Characteristic, n: int,
     bracket = a_n + b_n * u_n * u_n3
     if abs(u_n1) < DENOM_FLOOR or abs(bracket) < DENOM_FLOOR:
         raise ConditioningError("sample too close to a vanishing denominator")
-    value = phi(u_n, u_n1, u_n3, a_n, b_n)
+    value = step(u_n, u_n1, u_n3, a_n, b_n)
     return (
         char.xi(n + 4, value)
         - a_n * u_n * char.xi(n + 3, u_n3) / (u_n1 * bracket ** 2)
@@ -194,6 +186,17 @@ def log_reconstruct(j: int, n: int, traj: Trajectory) -> float:
         if wgt:
             acc += wgt * math.log(abs(float(vs[k])))
     return h_factor(j, traj) * math.exp(acc)
+
+
+def random_samples(rng: random.Random, count: int) -> List[tuple]:
+    """``count`` free sample points (n, u_n, u_n1, u_n3, a, b): n in 0..23,
+    the rest uniform in [0.5, 2], drawn in that order."""
+    return [
+        (rng.randrange(0, 24),
+         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
+         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        for _ in range(count)
+    ]
 
 
 def residual_sweep(char: Characteristic, samples: Sequence[tuple]) -> float:

@@ -37,9 +37,10 @@ def random_stream(rng: random.Random, horizon: int) -> CoefficientStream:
         return CoefficientStream.periodic(
             [(random_rational(rng, nonzero=True), random_rational(rng, nonzero=False))
              for _ in range(period)])
+    # at least one pair: an explicit stream cannot be empty, even at horizon 0
     return CoefficientStream.explicit(
         [(random_rational(rng, nonzero=True), random_rational(rng, nonzero=False))
-         for _ in range(horizon)])
+         for _ in range(max(horizon, 1))])
 
 
 def random_seeds(rng: random.Random) -> InitialConditions:
@@ -131,12 +132,7 @@ def run_verification(trials: int, horizon: int, seed: int,
             report.all_exact_match = False
             if report.witness is None:
                 report.witness = witness
-    samples = [
-        (rng.randrange(0, 24),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        for _ in range(residual_samples)
-    ]
+    samples = symmetry.random_samples(rng, residual_samples)
     report.max_symmetry_residual = max(
         symmetry.residual_sweep(char, samples)
         for char in symmetry.builtin_characteristics())

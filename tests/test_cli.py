@@ -1,7 +1,11 @@
 import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratrec.cli import load_config, main, parse_config, ConfigError
 
@@ -86,6 +90,17 @@ class TestIterateMode:
         assert recs[0] == {"m": -3, "x": "1", "status": "ok", "step": "", "cause": ""}
         assert recs[-1]["m"] == 3 and recs[-1]["x"] == "1/4"
 
+    def test_negative_horizon_is_config_error(self, config_path, tmp_path):
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "iterate",
+                         "--horizon", "-1", tmp_path=tmp_path)
+        assert code == 2 and text == ""
+
+    def test_past_list_horizon_is_domain_error(self, config_path, tmp_path):
+        cfg = {**UNIT_CONFIG, "horizon": 5}
+        cfg["coefficients"] = {"kind": "list", "pairs": [["1", "1"], ["2", "1/3"]]}
+        code, text = run(config_path(cfg), "--mode", "iterate", tmp_path=tmp_path)
+        assert code == 3 and text == ""
+
     def test_horizon_zero(self, config_path, tmp_path):
         code, text = run(config_path({**UNIT_CONFIG, "horizon": 0}),
                          "--mode", "iterate", tmp_path=tmp_path)
@@ -153,6 +168,27 @@ class TestVerifyMode:
         assert recs[0]["all_exact_match"] is False
         assert any("witness_index" in r for r in recs)
 
+    def test_horizon_zero(self, config_path, tmp_path):
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
+                         "--trials", "12", "--horizon", "0", tmp_path=tmp_path)
+        assert code == 0
+        rec = jsonl_records(text)[0]
+        assert rec["trials_run"] + rec["trials_skipped"] == 12
+
+    def test_negative_horizon_is_config_error(self, config_path, tmp_path):
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
+                         "--trials", "3", "--horizon", "-2", tmp_path=tmp_path)
+        assert code == 2 and text == ""
+
+    def test_corrupt_csv_is_one_record(self, config_path, tmp_path):
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
+                         "--trials", "25", "--horizon", "60", "--seed", "0",
+                         "--corrupt", tmp_path=tmp_path, fmt="csv")
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 1
+        assert rows[0]["all_exact_match"] == "False" and rows[0]["witness_index"]
+
     def test_zero_trials(self, config_path, tmp_path):
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
                          "--trials", "0", tmp_path=tmp_path)
@@ -175,12 +211,20 @@ class TestSymmetryMode:
         assert by_label["control-g1"]["pass"] is True  # control must violate tolerance
 
     def test_tolerance_override(self, config_path, tmp_path):
-        # absurdly loose tolerance flips the control's pass column
+        # absurdly loose tolerance flips the control's pass column, and a
+        # failing verdict fails the run
         code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
                          "--trials", "50", "--tolerance", "1e6", tmp_path=tmp_path)
-        assert code == 0
+        assert code == 1
         by_label = {r["characteristic"]: r for r in jsonl_records(text)}
         assert by_label["control-g1"]["pass"] is False
+
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_samples_is_config_error(self, config_path, tmp_path, trials):
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
+                         "--trials", trials, tmp_path=tmp_path)
+        assert code == 2 and text == ""
 
 
 class TestOutputFormats:
@@ -204,3 +248,41 @@ class TestOutputFormats:
         _, first = run(path, *args, tmp_path=tmp_path)
         _, second = run(path, *args, tmp_path=tmp_path)
         assert first == second
+
+
+# small inputs only: values stay far below CPython's 4300-digit int->str limit
+_RATIONAL_TEXT = st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 4))
+_PAIR = st.tuples(_RATIONAL_TEXT, _RATIONAL_TEXT)
+_CONFIGS = st.fixed_dictionaries({
+    "initial": st.fixed_dictionaries(
+        {k: _RATIONAL_TEXT for k in ("x_m3", "x_m2", "x_m1", "x_0")}),
+    "coefficients": st.one_of(
+        _PAIR.map(lambda ab: {"kind": "constant", "a": ab[0], "b": ab[1]}),
+        st.lists(_PAIR, min_size=1, max_size=3).map(
+            lambda pairs: {"kind": "periodic", "pairs": pairs}),
+        st.lists(_PAIR, min_size=1, max_size=8).map(
+            lambda pairs: {"kind": "list", "pairs": pairs})),
+})
+
+
+class TestEveryInputGetsAnExitCode:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(config=_CONFIGS,
+           mode=st.sampled_from(["iterate", "closed", "verify", "symmetry"]),
+           fmt=st.sampled_from(["csv", "jsonl"]),
+           horizon=st.integers(-5, 60),
+           index=st.one_of(st.none(), st.integers(-6, 60)),
+           trials=st.integers(-2, 30),
+           seed=st.integers(0, 3))
+    def test_main_exits_with_documented_code(self, config, mode, fmt, horizon,
+                                             index, trials, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = ["--config", path, "--mode", mode, "--output", fmt,
+                    "--out", os.path.join(tmp, "out"), "--horizon", str(horizon),
+                    "--trials", str(trials), "--seed", str(seed)]
+            if index is not None:
+                argv += ["--index", str(index)]
+            assert main(argv) in (0, 1, 2, 3)

@@ -8,7 +8,6 @@ from ratrec.engine import (
     ZERO_X_FACTOR,
     SingularityError,
     UndefinedVError,
-    detect_singularity,
     iterate,
     step,
     v_sequence,
@@ -75,16 +74,16 @@ class TestIterate:
 class TestDetectSingularity:
     def test_regular_long_run(self):
         # a = b = 1, positive seeds: bracket 1 + x x > 0 forever
-        assert detect_singularity(ONES, CoefficientStream.constant(1, 1), 100) is None
+        assert iterate(ONES, CoefficientStream.constant(1, 1), 100).singular is None
 
     def test_bracket_hit(self):
-        rep = detect_singularity(InitialConditions.of(1, 1, 1, -1),
-                                 CoefficientStream.constant(1, 1), 100)
+        rep = iterate(InitialConditions.of(1, 1, 1, -1),
+                      CoefficientStream.constant(1, 1), 100).singular
         assert rep is not None and (rep.step, rep.cause) == (0, ZERO_BRACKET)
 
     def test_zero_seed(self):
-        rep = detect_singularity(InitialConditions.of(1, 0, 1, 1),
-                                 CoefficientStream.constant(7, 5), 10)
+        rep = iterate(InitialConditions.of(1, 0, 1, 1),
+                      CoefficientStream.constant(7, 5), 10).singular
         assert rep is not None and (rep.step, rep.cause) == (0, ZERO_X_FACTOR)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ratrec.core import CoefficientStream, InitialConditions
-from ratrec.engine import iterate, v_sequence
+from ratrec.engine import iterate, step, v_sequence
 from ratrec import symmetry
 from ratrec.symmetry import (
     ConditioningError,
@@ -19,7 +19,6 @@ from ratrec.symmetry import (
     hh,
     invariant_check,
     log_reconstruct,
-    phi,
     symmetry_residual,
     weight,
     weight_float,
@@ -56,18 +55,20 @@ class TestGammaPower:
 
 
 class TestPhi:
+    """The u-form right-hand side is ``engine.step`` on floats and rationals."""
+
     def test_unit(self):
-        assert phi(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5)
+        assert step(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5)
 
     def test_b_zero(self):
-        assert phi(2.0, 4.0, 6.0, 1.0, 0.0) == pytest.approx(3.0)
+        assert step(2.0, 4.0, 6.0, 1.0, 0.0) == pytest.approx(3.0)
 
     def test_exact_domain(self):
-        assert phi(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)) == Fraction(1, 2)
+        assert step(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)) == Fraction(1, 2)
 
     def test_vanishing_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            phi(1.0, 2.0, -1.0, 1.0, 1.0)
+            step(1.0, 2.0, -1.0, 1.0, 1.0)
 
 
 class TestSymmetryResidual:
