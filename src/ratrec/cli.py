@@ -8,34 +8,35 @@ Modes:
 
 Configuration comes from a JSON file (--config) with flag overrides.
 Exact values are always printed as "p/q" strings; floats appear only in
-symmetry reports.  Exit codes: 0 success, 1 verification failure (a
-verify mismatch, or a symmetry verdict that fails), 2 config error, 3
-mathematical domain error (including a list stream's horizon).
+symmetry reports.  Each command returns its records and exit code; main
+alone emits them and maps errors to exit codes:
+  0  success
+  1  verification failure: a verify mismatch, or a symmetry verdict that fails
+  2  config error: an unreadable config or --out file, a bad key, a
+     rational that is not a "p/q" string, a scalar that does not fit its
+     type (e.g. "horizon": 1e400), a negative horizon in iterate or
+     verify, fewer than one trial in verify or symmetry, or closed
+     without an index
+  3  mathematical domain error: a zero seed or vanishing denominator in
+     the closed form, an index below -3, or an index past a list
+     stream's horizon
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import random
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ratrec import symmetry
-from ratrec.closed_form import (
-    BRANCH_A1,
-    BRANCH_ANEG1,
-    BRANCH_ANEQ1,
-    BRANCH_GENERAL,
-    ClosedFormError,
-    x_closed,
-    x_closed_constant,
-)
+from ratrec.closed_form import ClosedFormError, branch, x_closed
 from ratrec.core import (
     CoefficientStream,
-    HorizonError,
     InitialConditions,
     format_rational,
     parse_rational,
@@ -118,13 +119,17 @@ def parse_config(raw: dict) -> RunConfig:
         if key in raw:
             try:
                 setattr(cfg, key, cast(raw[key]))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(f"bad {key}: {exc}")
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# record emission: CSV and JSONL carry identical fields
+# commands build records and an exit code; main alone emits them, so CSV
+# and JSONL carry identical fields
+
+Result = Tuple[List[Dict], int]
+
 
 def emit(records: List[Dict], fmt: str, out) -> None:
     if not records:
@@ -140,54 +145,32 @@ def emit(records: List[Dict], fmt: str, out) -> None:
         writer.writerow(rec)
 
 
-def cmd_iterate(cfg: RunConfig, fmt: str, out) -> int:
+def cmd_iterate(cfg: RunConfig) -> Result:
     if cfg.horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
-    try:
-        traj = iterate(cfg.initial, cfg.coefficients, cfg.horizon)
-    except HorizonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    traj = iterate(cfg.initial, cfg.coefficients, cfg.horizon)
     records = [{"m": m, "x": format_rational(traj.x(m)), "status": "ok",
                 "step": "", "cause": ""}
                for m in range(-3, traj.last_index + 1)]
     if not traj.is_regular:
         records.append({"m": "", "x": "", "status": "singular",
                         "step": traj.singular.step, "cause": traj.singular.cause})
-    emit(records, fmt, out)
-    return 0
+    return records, 0
 
 
-def _constant_branch(a) -> str:
-    if a == 1:
-        return BRANCH_A1
-    if a == -1:
-        return BRANCH_ANEG1
-    return BRANCH_ANEQ1
-
-
-def cmd_closed(cfg: RunConfig, fmt: str, out) -> int:
+def cmd_closed(cfg: RunConfig) -> Result:
     if cfg.index is None:
         raise ConfigError("closed mode requires an index (--index or config)")
-    m = cfg.index
-    try:
-        if cfg.coefficients.kind == "constant":
-            a, b = cfg.coefficients.at(0)
-            value = x_closed_constant(cfg.initial, a, b, m)
-            branch = _constant_branch(a)
-        else:
-            value = x_closed(cfg.initial, cfg.coefficients, m)
-            branch = BRANCH_GENERAL
-    except (ClosedFormError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    emit([{"m": m, "value": format_rational(value), "branch": branch}], fmt, out)
-    return 0
+    value = x_closed(cfg.initial, cfg.coefficients, cfg.index)
+    return [{"m": cfg.index, "value": format_rational(value),
+             "branch": branch(cfg.coefficients)}], 0
 
 
-def cmd_verify(cfg: RunConfig, fmt: str, out, corrupt: bool = False) -> int:
+def cmd_verify(cfg: RunConfig, corrupt: bool = False) -> Result:
     if cfg.horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
+    if cfg.trials < 1:
+        raise ConfigError(f"verify needs trials >= 1, got {cfg.trials}")
     report = run_verification(trials=cfg.trials, horizon=cfg.horizon,
                               seed=cfg.seed, corrupt=corrupt)
     record = {
@@ -206,27 +189,22 @@ def cmd_verify(cfg: RunConfig, fmt: str, out, corrupt: bool = False) -> int:
             "witness_expected": format_rational(w.expected),
             "witness_got": format_rational(w.got),
         })
-    emit([record], fmt, out)
     ok = report.all_exact_match and report.max_symmetry_residual <= cfg.tolerance
-    return 0 if ok else 1
+    return [record], 0 if ok else 1
 
 
-def cmd_symmetry(cfg: RunConfig, fmt: str, out) -> int:
+def cmd_symmetry(cfg: RunConfig) -> Result:
     if cfg.trials < 1:
         raise ConfigError(f"symmetry needs trials >= 1, got {cfg.trials}")
     samples = symmetry.random_samples(random.Random(cfg.seed), cfg.trials)
-    chars = symmetry.builtin_characteristics()
     control = symmetry.custom(lambda n: complex(1.0, 0.0), label="control-g1")
     records = []
-    for char in chars:
+    for char in symmetry.builtin_characteristics() + [control]:
         worst = symmetry.residual_sweep(char, samples)
-        records.append({"characteristic": char.label, "max_residual": worst,
-                        "pass": worst <= cfg.tolerance})
-    worst = symmetry.residual_sweep(control, samples)
-    records.append({"characteristic": control.label, "max_residual": worst,
-                    "pass": worst > cfg.tolerance})
-    emit(records, fmt, out)
-    return 0 if all(rec["pass"] for rec in records) else 1
+        # a built-in must meet the tolerance; the control must violate it
+        ok = worst > cfg.tolerance if char is control else worst <= cfg.tolerance
+        records.append({"characteristic": char.label, "max_residual": worst, "pass": ok})
+    return records, 0 if all(rec["pass"] for rec in records) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,34 +229,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _open_out(path: Optional[str]):
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot open output {path}: {exc}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # built per call, so a cmd_* replaced on the module (by a tracer) is the one that runs
+    commands = {"iterate": cmd_iterate, "closed": cmd_closed, "symmetry": cmd_symmetry,
+                "verify": lambda cfg: cmd_verify(cfg, corrupt=args.corrupt)}
     try:
-        cfg = load_config(args.config)
-        for key in ("index", "horizon", "trials", "seed", "tolerance"):
-            value = getattr(args, key)
-            if value is not None:
-                setattr(cfg, key, value)
+        with _open_out(args.out) as out:
+            cfg = load_config(args.config)
+            for key in ("index", "horizon", "trials", "seed", "tolerance"):
+                value = getattr(args, key)
+                if value is not None:
+                    setattr(cfg, key, value)
+            records, code = commands[args.mode](cfg)
+            emit(records, args.output, out)
+            return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    sink = open(args.out, "w", newline="") if args.out else None
-    out = sink if sink else sys.stdout
-    try:
-        if args.mode == "iterate":
-            return cmd_iterate(cfg, args.output, out)
-        if args.mode == "closed":
-            return cmd_closed(cfg, args.output, out)
-        if args.mode == "verify":
-            return cmd_verify(cfg, args.output, out, corrupt=args.corrupt)
-        return cmd_symmetry(cfg, args.output, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if sink:
-            sink.close()
+    except (ClosedFormError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

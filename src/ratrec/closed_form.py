@@ -79,12 +79,27 @@ def prefactor(j: int, ic: InitialConditions, coeffs: CoefficientStream) -> Ratio
     return w / den
 
 
+def branch(coeffs: CoefficientStream) -> str:
+    """The paper's case for a stream: constant a = 1, a = -1 or a != +-1,
+    else general.  Only a = -1 has its own kernel (``x_closed_a_neg1``)."""
+    if coeffs.kind != "constant":
+        return BRANCH_GENERAL
+    a, _ = coeffs.at(0)
+    if a == 1:
+        return BRANCH_A1
+    return BRANCH_ANEG1 if a == -1 else BRANCH_ANEQ1
+
+
 def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Rational:
     """x_m from the six-residue-class closed form, exactly.
 
-    The class-j slice of the ``x_closed_all`` recursion, streamed: only the
-    running products of the numerator and denominator factors are kept.
+    A constant a = -1 stream takes the power form ``x_closed_a_neg1``.
+    Otherwise this is the class-j slice of the ``x_closed_all`` recursion,
+    streamed: only the running products of the numerator and denominator
+    factors are kept.
     """
+    if branch(coeffs) == BRANCH_ANEG1:
+        return x_closed_a_neg1(ic, coeffs.at(0)[1], m)
     w = _require_nonzero_seeds(ic)
     block = decompose_index(m)
     n, j = block.n, block.j
@@ -132,22 +147,19 @@ def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
 
 
 def x_closed_constant(ic: InitialConditions, a: Rational, b: Rational, m: int) -> Rational:
-    """Constant-coefficient x_m: the power form for a = -1, else the
-    general kernel on the constant stream (the paper's a = 1 and a != 1
-    cases both reduce to it)."""
-    a, b = Fraction(a), Fraction(b)
-    if a == -1:
-        return x_closed_a_neg1(ic, b, m)
+    """Constant-coefficient x_m: ``x_closed`` on the constant stream."""
     return x_closed(ic, CoefficientStream.constant(a, b), m)
 
 
 def x_closed_a_neg1(ic: InitialConditions, b: Rational, m: int) -> Rational:
     """The a = -1 special case: x_{6n+j-3} = prefactor(j) (-1 + b x_{-3}x_0)^{+-n},
-    exponent +n for odd j, -n for even j; O(log n) operations."""
+    exponent +n for odd j, -n for even j; O(log n) operations.  When the
+    base vanishes, so does the bracket of x_1: the seeds are returned and
+    every later index raises."""
     b = Fraction(b)
     w = _require_nonzero_seeds(ic)
     base = -1 + b * w
-    if base == 0:
+    if base == 0 and m > 0:
         raise SingularClosedFormError("a = -1 base (-1 + b x_{-3}x_0) vanished")
     block = decompose_index(m)
     n, j = block.n, block.j

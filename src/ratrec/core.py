@@ -27,9 +27,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def parse_rational(text: str) -> Rational:
     """Parse "p/q" or an integer string into an exact rational.
 
-    Raises ValueError on anything else (decimals, blanks, stray signs in
-    the denominator).
+    Raises TypeError on a non-string (a JSON number, say) and ValueError on
+    any other string (decimals, blanks, stray signs in the denominator).
     """
+    if not isinstance(text, str):
+        raise TypeError(f"rational literal must be a string, got {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal (expected 'p' or 'p/q'): {text!r}")

@@ -113,11 +113,13 @@ class _Skip(Exception):
 def run_verification(trials: int, horizon: int, seed: int,
                      residual_samples: int = 100,
                      corrupt: bool = False) -> VerificationReport:
-    """Run the randomized oracle-equivalence suite plus a residual sweep."""
+    """Run the randomized oracle-equivalence suite plus a residual sweep.
+
+    Raises ValueError for fewer than one trial: an empty run checks nothing."""
+    if trials < 1:
+        raise ValueError(f"verification needs trials >= 1, got {trials}")
     rng = random.Random(seed)
     report = VerificationReport()
-    if trials == 0:
-        return report
     for _ in range(trials):
         ic = random_seeds(rng)
         stream = random_stream(rng, horizon)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratrec.cli import load_config, main, parse_config, ConfigError
+from ratrec.verify import run_verification
 
 UNIT_CONFIG = {
     "initial": {"x_m3": "1", "x_m2": "1", "x_m1": "1", "x_0": "1"},
@@ -80,6 +82,34 @@ class TestConfigParsing:
         out = tmp_path / "o"
         assert main(["--config", str(tmp_path / "nope.json"),
                      "--mode", "iterate", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("placement", ["initial", "constant", "pairs"])
+    def test_non_string_rational_exit_code(self, config_path, tmp_path, capsys, placement):
+        cfg = json.loads(json.dumps(UNIT_CONFIG))
+        if placement == "initial":
+            cfg["initial"]["x_m3"] = 1
+        elif placement == "constant":
+            cfg["coefficients"]["a"] = 1
+        else:
+            cfg["coefficients"] = {"kind": "periodic", "pairs": [[1, 2]]}
+        code, text = run(config_path(cfg), "--mode", "iterate", tmp_path=tmp_path)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_overflowing_scalar_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        cfg = {k: v for k, v in UNIT_CONFIG.items() if k != "horizon"}
+        # 1e400 loads as inf, which no int can hold
+        path.write_text(json.dumps(cfg)[:-1] + ', "horizon": 1e400}')
+        code, text = run(str(path), "--mode", "iterate", tmp_path=tmp_path)
+        assert code == 2 and text == ""
+        assert "bad horizon" in capsys.readouterr().err
+
+    def test_unopenable_out_exit_code(self, config_path, tmp_path, capsys):
+        code = main(["--config", config_path(UNIT_CONFIG), "--mode", "iterate",
+                     "--out", str(tmp_path / "missing" / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestIterateMode:
@@ -189,11 +219,17 @@ class TestVerifyMode:
         assert len(rows) == 1
         assert rows[0]["all_exact_match"] == "False" and rows[0]["witness_index"]
 
-    def test_zero_trials(self, config_path, tmp_path):
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_library_rejects_empty_run(self, trials):
+        with pytest.raises(ValueError):
+            run_verification(trials=trials, horizon=5, seed=0)
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_zero_trials(self, config_path, tmp_path, trials):
+        # an empty run checks nothing, so it is a config error, not a pass
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
-                         "--trials", "0", tmp_path=tmp_path)
-        assert code == 0
-        assert jsonl_records(text)[0]["trials_run"] == 0
+                         "--trials", trials, tmp_path=tmp_path)
+        assert code == 2 and text == ""
 
 
 class TestSymmetryMode:
@@ -252,36 +288,60 @@ class TestOutputFormats:
 
 # small inputs only: values stay far below CPython's 4300-digit int->str limit
 _RATIONAL_TEXT = st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 4))
-_PAIR = st.tuples(_RATIONAL_TEXT, _RATIONAL_TEXT)
-_CONFIGS = st.fixed_dictionaries({
-    "initial": st.fixed_dictionaries(
-        {k: _RATIONAL_TEXT for k in ("x_m3", "x_m2", "x_m1", "x_0")}),
-    "coefficients": st.one_of(
-        _PAIR.map(lambda ab: {"kind": "constant", "a": ab[0], "b": ab[1]}),
-        st.lists(_PAIR, min_size=1, max_size=3).map(
-            lambda pairs: {"kind": "periodic", "pairs": pairs}),
-        st.lists(_PAIR, min_size=1, max_size=8).map(
-            lambda pairs: {"kind": "list", "pairs": pairs})),
-})
+# config faults that must exit 2, each drawn in about one case in eight so
+# that most cases still run a command: a rational given as a JSON integer,
+# an integer field given as inf or as a huge float (json writes inf as
+# Infinity; the flags below override horizon, trials and seed, and a huge
+# positive index is left out, since it is a valid index too deep to
+# compute), and an --out file in a missing directory
+_RARELY = st.sampled_from([False] * 7 + [True])
+_JSON_INT = st.integers(-4, 4)
+_HUGE_SCALAR = st.one_of(
+    st.tuples(st.sampled_from(["horizon", "trials", "seed"]),
+              st.sampled_from([math.inf, -math.inf, 1e300, -1e300])),
+    st.tuples(st.just("index"), st.sampled_from([math.inf, -math.inf, -1e300])))
+
+
+@st.composite
+def _configs(draw):
+    rational = (st.one_of(_RATIONAL_TEXT, _JSON_INT) if draw(_RARELY)
+                else _RATIONAL_TEXT)
+    pair = st.tuples(rational, rational)
+    config = draw(st.fixed_dictionaries({
+        "initial": st.fixed_dictionaries(
+            {k: rational for k in ("x_m3", "x_m2", "x_m1", "x_0")}),
+        "coefficients": st.one_of(
+            pair.map(lambda ab: {"kind": "constant", "a": ab[0], "b": ab[1]}),
+            st.lists(pair, min_size=1, max_size=3).map(
+                lambda pairs: {"kind": "periodic", "pairs": pairs}),
+            st.lists(pair, min_size=1, max_size=8).map(
+                lambda pairs: {"kind": "list", "pairs": pairs})),
+    }))
+    if draw(_RARELY):
+        key, value = draw(_HUGE_SCALAR)
+        config[key] = value
+    return config
 
 
 class TestEveryInputGetsAnExitCode:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(config=_CONFIGS,
+    @given(config=_configs(),
            mode=st.sampled_from(["iterate", "closed", "verify", "symmetry"]),
            fmt=st.sampled_from(["csv", "jsonl"]),
            horizon=st.integers(-5, 60),
            index=st.one_of(st.none(), st.integers(-6, 60)),
            trials=st.integers(-2, 30),
-           seed=st.integers(0, 3))
+           seed=st.integers(0, 3),
+           missing_dir=_RARELY)
     def test_main_exits_with_documented_code(self, config, mode, fmt, horizon,
-                                             index, trials, seed):
+                                             index, trials, seed, missing_dir):
+        out = os.path.join("missing", "out") if missing_dir else "out"
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")
             with open(path, "w") as fh:
                 json.dump(config, fh)
             argv = ["--config", path, "--mode", mode, "--output", fmt,
-                    "--out", os.path.join(tmp, "out"), "--horizon", str(horizon),
+                    "--out", os.path.join(tmp, out), "--horizon", str(horizon),
                     "--trials", str(trials), "--seed", str(seed)]
             if index is not None:
                 argv += ["--index", str(index)]

@@ -182,6 +182,18 @@ class TestANeg1:
         with pytest.raises(SingularClosedFormError):
             x_closed_a_neg1(ONES, Fraction(1), 3)
 
+    def test_base_zero_keeps_only_the_seeds(self):
+        # b = 1 gives base 0, the bracket of x_1: the seeds stand through
+        # every entry point, and no later value exists
+        stream = CoefficientStream.constant(-1, 1)
+        for m in range(-3, 1):
+            assert x_closed_constant(ONES, Fraction(-1), Fraction(1), m) == 1
+            assert x_closed(ONES, stream, m) == 1
+        assert not iterate(ONES, stream, 1).is_regular
+        for m in range(1, 13):
+            with pytest.raises(SingularClosedFormError):
+                x_closed(ONES, stream, m)
+
     def test_parity_rule_against_oracle(self, rng):
         # the odd/even-j exponent rule is verified, not trusted
         checked = 0
