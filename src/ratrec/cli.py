@@ -17,8 +17,9 @@ alone emits them and maps errors to exit codes:
      type (e.g. "horizon": 1e400), a negative horizon in iterate or
      verify, fewer than one trial in verify or symmetry, or closed
      without an index
-  3  mathematical domain error: a zero seed or vanishing denominator in
-     the closed form, an index below -3, or an index past a list
+  3  mathematical domain error: a zero seed in the closed form, an index
+     at or past the first singular step of the iteration (the first x it
+     cannot compute), an index below -3, or an index past a list
      stream's horizon
 """
 

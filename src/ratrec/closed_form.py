@@ -5,8 +5,8 @@ from V_0 = 1/w, w = x_{-3} x_0 (``reduced.v_values``), the solution is
 
     x_m = prefactor(j) * prod_{s=0}^{n-1} V_{6s+j} / V_{6s+j+3}
 
-where prefactor(j) is the seed x_{j-3} for j <= 3 and the explicit
-x_1 / x_2 expressions for j = 4, 5.  The paper states the factors as the
+where prefactor(j) = x_{j-3}: the seed for j <= 3, and x_{j-3} =
+1/(x_{j-6} V_{j-3}) for j = 4, 5.  The paper states the factors as the
 numerator/denominator polynomial
 
     T(t) = prod_{k=0}^{t-1} a_k  +  w * sum_{l=0}^{t-1} b_l prod_{k=l+1}^{t-1} a_k,
@@ -17,6 +17,11 @@ The running index inside the block product is s; the published bounds read
 telescoped ratio V_{6s+j}/V_{6s+j+3} forces the s-reading, confirmed
 against the iteration oracle.
 
+Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
+V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are
+all nonzero.  ``_v_checked`` is the one place that rule is tested; every
+general entry point folds through it.
+
 V values are advanced one coefficient at a time, so x_m costs O(m)
 rational operations.
 """
@@ -24,7 +29,7 @@ rational operations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import Iterator, List
 
 from ratrec.core import (
     CoefficientStream,
@@ -49,7 +54,7 @@ class ZeroInitialError(ClosedFormError):
 
 
 class SingularClosedFormError(ClosedFormError):
-    """A block denominator or prefactor denominator vanished."""
+    """The index lies at or past the first singular step: some V_t vanished."""
 
 
 def _require_nonzero_seeds(ic: InitialConditions) -> Rational:
@@ -58,25 +63,28 @@ def _require_nonzero_seeds(ic: InitialConditions) -> Rational:
     return ic.x_m3 * ic.x_0
 
 
+def _v_checked(ic: InitialConditions, coeffs: CoefficientStream,
+               n: int) -> Iterator[Rational]:
+    """Yield V_0..V_n from V_0 = 1/(x_{-3} x_0), raising at the first V_t = 0:
+    x_t, and every later value, does not exist."""
+    w = _require_nonzero_seeds(ic)
+    for t, v in enumerate(v_values(1 / w, coeffs, n)):
+        if v == 0:
+            raise SingularClosedFormError(f"V({t}) vanished: x_{t} does not exist")
+        yield v
+
+
 def prefactor(j: int, ic: InitialConditions, coeffs: CoefficientStream) -> Rational:
-    """Block prefactor: the seed x_{j-3} for j <= 3, else the explicit
-    x_1 (j = 4) or x_2 (j = 5) expression in the initial values."""
+    """Block prefactor x_{j-3}: the seed for j <= 3, else x_1 (j = 4) or
+    x_2 (j = 5) as 1/(x_{j-6} V_{j-3}) from the checked V fold, which
+    raises unless V_1..V_{j-3} are all nonzero."""
     if not (0 <= j <= 5):
         raise ValueError(f"residue j must be in 0..5, got {j}")
+    seeds = ic.as_tuple()
     if j <= 3:
-        return ic.as_tuple()[j]
-    w = _require_nonzero_seeds(ic)
-    a0, b0 = coeffs.at(0)
-    if j == 4:
-        den = ic.x_m2 * (a0 + b0 * w)
-        if den == 0:
-            raise SingularClosedFormError("x_1 prefactor denominator vanished")
-        return w / den
-    a1, b1 = coeffs.at(1)
-    den = ic.x_m1 * (a0 * a1 + (a1 * b0 + b1) * w)
-    if den == 0:
-        raise SingularClosedFormError("x_2 prefactor denominator vanished")
-    return w / den
+        return seeds[j]
+    *_, v = _v_checked(ic, coeffs, j - 3)
+    return 1 / (seeds[j - 3] * v)
 
 
 def branch(coeffs: CoefficientStream) -> str:
@@ -100,25 +108,20 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
     """
     if branch(coeffs) == BRANCH_ANEG1:
         return x_closed_a_neg1(ic, coeffs.at(0)[1], m)
-    w = _require_nonzero_seeds(ic)
     block = decompose_index(m)
     n, j = block.n, block.j
-    result = prefactor(j, ic, coeffs)
-    if n == 0:
-        return result
     num = Fraction(1)
     den = Fraction(1)
-    # with r = t - j: V_t is a numerator factor when r = 6s, a denominator
-    # factor when r = 6s + 3, for s = 0..n-1
-    for t, v in enumerate(v_values(1 / w, coeffs, 6 * n + j - 3)):
-        r = t - j
-        if r % 6 == 0:
-            num *= v
-        elif r % 6 == 3 and r > 0:
-            if v == 0:
-                raise SingularClosedFormError(f"block denominator V({t}) vanished")
-            den *= v
-    return result * num / den
+    # with t - j = 6s + r: V_t is a numerator factor when r = 0, a
+    # denominator factor when r = 3, for s = 0..n-1; the fold runs to V_m
+    for t, v in enumerate(_v_checked(ic, coeffs, max(m, 0))):
+        s, r = divmod(t - j, 6)
+        if 0 <= s < n:
+            if r == 0:
+                num *= v
+            elif r == 3:
+                den *= v
+    return prefactor(j, ic, coeffs) * num / den
 
 
 def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
@@ -131,18 +134,11 @@ def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
     """
     if horizon < -3:
         raise ValueError(f"horizon must be >= -3, got {horizon}")
-    w = _require_nonzero_seeds(ic)
-    t_top = horizon + 3
-    vs = list(v_values(1 / w, coeffs, max(t_top - 3, 0)))
+    vs = list(_v_checked(ic, coeffs, max(horizon, 0)))
     out: List[Rational] = []
-    for t in range(t_top + 1):
-        if t < 6:
-            out.append(prefactor(t, ic, coeffs))
-            continue
-        den = vs[t - 3]
-        if den == 0:
-            raise SingularClosedFormError(f"block denominator V({t - 3}) vanished")
-        out.append(out[t - 6] * vs[t - 6] / den)
+    for t in range(horizon + 4):
+        out.append(prefactor(t, ic, coeffs) if t < 6
+                   else out[t - 6] * vs[t - 6] / vs[t - 3])
     return out
 
 
@@ -153,9 +149,9 @@ def x_closed_constant(ic: InitialConditions, a: Rational, b: Rational, m: int) -
 
 def x_closed_a_neg1(ic: InitialConditions, b: Rational, m: int) -> Rational:
     """The a = -1 special case: x_{6n+j-3} = prefactor(j) (-1 + b x_{-3}x_0)^{+-n},
-    exponent +n for odd j, -n for even j; O(log n) operations.  When the
-    base vanishes, so does the bracket of x_1: the seeds are returned and
-    every later index raises."""
+    exponent +n for odd j, -n for even j; O(log n) operations.  The base is
+    x_{-3}x_0 V_1, so when it vanishes x_1 does not exist: the seeds are
+    returned and every later index raises."""
     b = Fraction(b)
     w = _require_nonzero_seeds(ic)
     base = -1 + b * w

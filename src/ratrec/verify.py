@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from ratrec.closed_form import ClosedFormError, x_closed, x_closed_all
+from ratrec.closed_form import x_closed, x_closed_all
 from ratrec.core import CoefficientStream, InitialConditions, Rational
 from ratrec.engine import iterate, v_sequence
 from ratrec.reduced import v_step
@@ -70,28 +70,25 @@ class VerificationReport:
 
 def check_instance(ic: InitialConditions, stream: CoefficientStream, horizon: int,
                    corrupt: bool = False) -> Optional[Witness]:
-    """Compare closed form against iteration at every regular index, and
-    the reduction identity V_{k+1} = a_k V_k + b_k along the way.
+    """Compare closed form against iteration at every index, and the
+    reduction identity V_{k+1} = a_k V_k + b_k along the way.
 
     Returns None on full agreement, a Witness on the first mismatch, and
-    raises _Skip when the instance is singular or otherwise leaves the
-    closed form's domain.  ``corrupt`` deliberately perturbs the closed
-    form (negative-control hook for the CLI contract).
+    raises _Skip unless the iteration is regular and the seeds are nonzero.
+    With nonzero seeds, x_m exists exactly when V_1..V_m are nonzero, so
+    such an instance lies wholly inside the closed form's domain (and has
+    no zero value).  ``corrupt`` deliberately perturbs the closed form
+    (negative-control hook for the CLI contract).
     """
     traj = iterate(ic, stream, horizon)
-    if not traj.is_regular:
+    if not traj.is_regular or not ic.all_nonzero():
         raise _Skip
-    if any(v == 0 for v in traj.values):
-        raise _Skip  # closed form undefined on zero values
     vs = v_sequence(traj)
     for k in range(len(vs) - 1):
-        a_k, b_k = stream.at(k)
-        if vs[k + 1] != v_step(vs[k], a_k, b_k):
-            return Witness(ic, stream, k + 1, vs[k + 1], v_step(vs[k], a_k, b_k))
-    try:
-        closed = x_closed_all(ic, stream, horizon)
-    except ClosedFormError:
-        raise _Skip
+        want = v_step(vs[k], *stream.at(k))
+        if vs[k + 1] != want:
+            return Witness(ic, stream, k + 1, vs[k + 1], want)
+    closed = x_closed_all(ic, stream, horizon)
     for m in range(-3, horizon + 1):
         value = closed[m + 3]
         if corrupt and m >= 1:
@@ -101,8 +98,9 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream, horizon: in
     # the per-index entry point shares the formula but not the recursion;
     # spot-check it against the batch path
     for m in (0, min(7, horizon), horizon):
-        if x_closed(ic, stream, m) != closed[m + 3]:
-            return Witness(ic, stream, m, closed[m + 3], x_closed(ic, stream, m))
+        got = x_closed(ic, stream, m)
+        if got != closed[m + 3]:
+            return Witness(ic, stream, m, closed[m + 3], got)
     return None
 
 

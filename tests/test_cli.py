@@ -6,9 +6,11 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratrec.cli import load_config, main, parse_config, ConfigError
+from ratrec.core import parse_rational
+from ratrec.engine import iterate
 from ratrec.verify import run_verification
 
 UNIT_CONFIG = {
@@ -178,6 +180,27 @@ class TestClosedMode:
                       tmp_path=tmp_path)
         assert code == 3
 
+    # the bracket of step 0 vanishes: iterate is singular at step 0, so only
+    # the seeds exist
+    SINGULAR_AT_0 = {
+        "initial": {"x_m3": "1", "x_m2": "1", "x_m1": "1", "x_0": "1"},
+        "coefficients": {"kind": "periodic", "pairs": [["-1", "1"], ["2", "1"]]},
+    }
+
+    def test_answers_only_before_the_singular_step(self, config_path, capsys):
+        path = config_path(self.SINGULAR_AT_0)
+        code = main(["--config", path, "--mode", "closed", "--index", "0",
+                     "--output", "jsonl"])
+        assert code == 0
+        assert jsonl_records(capsys.readouterr().out) == [
+            {"m": 0, "value": "1", "branch": "general"}]
+        for index in (2, 8):
+            code = main(["--config", path, "--mode", "closed", "--index", str(index)])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+
 
 class TestVerifyMode:
     def test_default_passes(self, config_path, tmp_path):
@@ -325,6 +348,8 @@ def _configs(draw):
 
 class TestEveryInputGetsAnExitCode:
     @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(config=TestClosedMode.SINGULAR_AT_0, mode="closed", fmt="csv", horizon=3,
+             index=8, trials=1, seed=0, missing_dir=False)
     @given(config=_configs(),
            mode=st.sampled_from(["iterate", "closed", "verify", "symmetry"]),
            fmt=st.sampled_from(["csv", "jsonl"]),
@@ -345,4 +370,15 @@ class TestEveryInputGetsAnExitCode:
                     "--trials", str(trials), "--seed", str(seed)]
             if index is not None:
                 argv += ["--index", str(index)]
-            assert main(argv) in (0, 1, 2, 3)
+            code = main(argv)
+            assert code in (0, 1, 2, 3)
+            if mode == "closed" and code == 0:
+                # an answer only where the iteration reaches the index
+                cfg = parse_config(config)
+                traj = iterate(cfg.initial, cfg.coefficients, max(index, 0))
+                assert traj.is_regular
+                with open(os.path.join(tmp, out), newline="") as fh:
+                    text = fh.read()
+                record = (jsonl_records(text)[0] if fmt == "jsonl"
+                          else next(csv.DictReader(io.StringIO(text))))
+                assert parse_rational(record["value"]) == traj.x(index)

@@ -214,3 +214,53 @@ class TestANeg1:
     def test_dispatch_from_constant(self):
         assert (x_closed_constant(ONES, Fraction(-1), Fraction(3), 4)
                 == x_closed_a_neg1(ONES, Fraction(3), 4))
+
+
+def small_rational(rng, nonzero=False):
+    num = rng.choice([k for k in range(-2, 3) if k or not nonzero])
+    return Fraction(num, rng.choice([1, 2]))
+
+
+def small_pair(rng):
+    return small_rational(rng), small_rational(rng)
+
+
+class TestDomain:
+    """x_m exists exactly when V_1..V_m are nonzero, i.e. exactly when the
+    iteration is regular through step m."""
+
+    def test_refuses_exactly_where_iteration_stops(self, rng):
+        horizon = 20
+        singular = 0
+        for _ in range(150):
+            ic = InitialConditions.of(*(small_rational(rng, nonzero=True)
+                                        for _ in range(4)))
+            kind = rng.choice(["constant", "periodic", "list"])
+            if kind == "constant":
+                stream = CoefficientStream.constant(*small_pair(rng))
+            elif kind == "periodic":
+                stream = CoefficientStream.periodic(
+                    [small_pair(rng) for _ in range(rng.randint(1, 6))])
+            else:
+                stream = CoefficientStream.explicit(
+                    [small_pair(rng) for _ in range(horizon)])
+            traj = iterate(ic, stream, horizon)
+            singular += not traj.is_regular
+            for m in range(-3, horizon + 1):
+                if iterate(ic, stream, max(m, 0)).is_regular:
+                    assert x_closed(ic, stream, m) == traj.x(m)
+                    assert x_closed_all(ic, stream, m) == list(traj.values[:m + 4])
+                else:
+                    with pytest.raises(SingularClosedFormError):
+                        x_closed(ic, stream, m)
+                    with pytest.raises(SingularClosedFormError):
+                        x_closed_all(ic, stream, m)
+        assert singular >= 15
+
+    def test_x2_prefactor_needs_v1(self):
+        # V_1 = -1 + 1 = 0 while V_2 = 2*0 + 1 = 1: the bracket of x_1 vanishes,
+        # so x_2 does not exist although its own V is nonzero
+        stream = CoefficientStream.periodic([(-1, 1), (2, 1)])
+        assert not iterate(ONES, stream, 1).is_regular
+        with pytest.raises(SingularClosedFormError):
+            prefactor(5, ONES, stream)
