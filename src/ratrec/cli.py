@@ -13,8 +13,8 @@ alone emits them and maps errors to exit codes:
   0  success
   1  verification failure: a verify mismatch, or a symmetry verdict that fails
   2  config error: an unreadable config or --out file, a bad key, a
-     rational that is not a "p/q" string, a scalar that does not fit its
-     type (e.g. "horizon": 1e400), a negative horizon in iterate or
+     rational that is not a "p/q" string, a scalar of the wrong JSON type
+     (e.g. "horizon": 2.9, true or 1e400), a negative horizon in iterate or
      verify, fewer than one trial in verify or symmetry, or closed
      without an index
   3  mathematical domain error: a zero seed in the closed form, an index
@@ -115,12 +115,17 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"bad coefficients: {exc}")
 
     cfg = RunConfig(initial=ic, coefficients=stream)
-    for key, cast in (("horizon", int), ("index", int), ("trials", int),
-                      ("seed", int), ("tolerance", float)):
+    for key, types in (("horizon", int), ("index", int), ("trials", int),
+                       ("seed", int), ("tolerance", (int, float))):
         if key in raw:
+            value = raw[key]
+            # bool is an int subclass, and int() would truncate 2.9 or read "5"
+            if isinstance(value, bool) or not isinstance(value, types):
+                kind = "integer" if types is int else "number"
+                raise ConfigError(f"bad {key}: expected a JSON {kind}, got {value!r}")
             try:
-                setattr(cfg, key, cast(raw[key]))
-            except (ValueError, TypeError, OverflowError) as exc:
+                setattr(cfg, key, value if types is int else float(value))
+            except OverflowError as exc:
                 raise ConfigError(f"bad {key}: {exc}")
     return cfg
 
@@ -245,15 +250,16 @@ def main(argv=None) -> int:
     commands = {"iterate": cmd_iterate, "closed": cmd_closed, "symmetry": cmd_symmetry,
                 "verify": lambda cfg: cmd_verify(cfg, corrupt=args.corrupt)}
     try:
+        cfg = load_config(args.config)
+        for key in ("index", "horizon", "trials", "seed", "tolerance"):
+            value = getattr(args, key)
+            if value is not None:
+                setattr(cfg, key, value)
+        records, code = commands[args.mode](cfg)
+        # opened only once the command has succeeded: an error leaves the file as it was
         with _open_out(args.out) as out:
-            cfg = load_config(args.config)
-            for key in ("index", "horizon", "trials", "seed", "tolerance"):
-                value = getattr(args, key)
-                if value is not None:
-                    setattr(cfg, key, value)
-            records, code = commands[args.mode](cfg)
             emit(records, args.output, out)
-            return code
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -174,8 +174,6 @@ class Trajectory:
     values: Tuple[Rational, ...]
     singular: Optional[SingularReport] = field(default=None)
 
-    START_INDEX = -3
-
     @property
     def last_index(self) -> int:
         return len(self.values) - 4

@@ -33,7 +33,7 @@ def run(config_path_str, *args, tmp_path=None, fmt="jsonl"):
     out = tmp_path / "out.txt"
     code = main(["--config", config_path_str, "--output", fmt,
                  "--out", str(out), *args])
-    return code, out.read_text()
+    return code, out.read_text() if out.exists() else ""
 
 
 def jsonl_records(text):
@@ -112,6 +112,61 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "missing" / "o.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", 2.9), ("horizon", 1e300), ("horizon", "3"), ("index", True),
+        ("index", 1.0), ("trials", "5"), ("trials", False), ("seed", 0.5),
+        ("seed", None), ("tolerance", "1e-3"), ("tolerance", True), ("tolerance", [1]),
+    ])
+    def test_scalar_of_wrong_json_type_exit_code(self, config_path, tmp_path, capsys,
+                                                 key, value):
+        # integer fields take JSON integers only, tolerance any JSON number;
+        # symmetry reads neither horizon nor index, so a run that wrongly
+        # accepted one of these values would still end quickly
+        code, text = run(config_path({**UNIT_CONFIG, key: value}), "--mode", "symmetry",
+                         tmp_path=tmp_path)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith(f"config error: bad {key}:")
+
+    def test_integer_tolerance_is_a_number(self):
+        assert parse_config({**UNIT_CONFIG, "tolerance": 1}).tolerance == 1.0
+
+
+class TestOutFileSurvivesErrors:
+    """--out is opened only after the command succeeds."""
+
+    PREVIOUS = "m,x\n-3,1\n"
+
+    def _existing_out(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text(self.PREVIOUS)
+        return out
+
+    def test_config_error(self, config_path, tmp_path):
+        out = self._existing_out(tmp_path)
+        assert main(["--config", config_path({**UNIT_CONFIG, "bogus": 1}),
+                     "--mode", "iterate", "--out", str(out)]) == 2
+        assert out.read_text() == self.PREVIOUS
+
+    def test_domain_error(self, config_path, tmp_path):
+        out = self._existing_out(tmp_path)
+        assert main(["--config", config_path(TestClosedMode.SINGULAR_AT_0),
+                     "--mode", "closed", "--index", "8", "--out", str(out)]) == 3
+        assert out.read_text() == self.PREVIOUS
+
+    def test_config_as_its_own_out(self, config_path):
+        # the config is read before --out is truncated
+        path = config_path(UNIT_CONFIG)
+        assert main(["--config", path, "--mode", "iterate", "--output", "jsonl",
+                     "--out", path]) == 0
+        with open(path) as fh:
+            assert jsonl_records(fh.read())[-1] == {
+                "m": 3, "x": "1/4", "status": "ok", "step": "", "cause": ""}
+
+    def test_domain_error_before_unopenable_out(self, config_path, tmp_path):
+        assert main(["--config", config_path(TestClosedMode.SINGULAR_AT_0),
+                     "--mode", "closed", "--index", "8",
+                     "--out", str(tmp_path / "missing" / "o.csv")]) == 3
 
 
 class TestIterateMode:
