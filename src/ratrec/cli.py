@@ -12,11 +12,12 @@ symmetry reports.  Each command returns its records and exit code; main
 alone emits them and maps errors to exit codes:
   0  success
   1  verification failure: a verify mismatch, or a symmetry verdict that fails
-  2  config error: an unreadable config or --out file, a bad key, a
-     rational that is not a "p/q" string, a scalar of the wrong JSON type
-     (e.g. "horizon": 2.9, true or 1e400), a negative horizon in iterate or
-     verify, fewer than one trial in verify or symmetry, or closed
-     without an index
+  2  config error: an unreadable config (not UTF-8, bad JSON, an integer
+     over 4300 digits) or --out file, a bad key, a rational that is not a
+     "p/q" string, a coefficient pair that is not a JSON array, a scalar of
+     the wrong JSON type (e.g. "horizon": 2.9, true or 1e400), a tolerance
+     that is not finite and >= 0, a negative horizon in iterate or verify,
+     fewer than one trial in verify or symmetry, or closed without an index
   3  mathematical domain error: a zero seed in the closed form, an index
      at or past the first singular step of the iteration (the first x it
      cannot compute), an index below -3, or an index past a list
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -68,9 +70,9 @@ _COEFF_KEYS = {"kind", "a", "b", "pairs"}
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config(raw)
 
@@ -98,19 +100,15 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(co, dict) or set(co) - _COEFF_KEYS:
         raise ConfigError(f"coefficients keys must be among {sorted(_COEFF_KEYS)}")
     kind = co.get("kind")
+    if kind not in ("constant", "periodic", "list"):
+        raise ConfigError(f"coefficients.kind must be constant|periodic|list, got {kind!r}")
     try:
-        if kind == "constant":
-            stream = CoefficientStream.constant(
-                parse_rational(co["a"]), parse_rational(co["b"]))
-        elif kind in ("periodic", "list"):
-            pairs = [(parse_rational(a), parse_rational(b)) for a, b in co["pairs"]]
-            ctor = (CoefficientStream.periodic if kind == "periodic"
-                    else CoefficientStream.explicit)
-            stream = ctor(pairs)
-        else:
-            raise ConfigError(f"coefficients.kind must be constant|periodic|list, got {kind!r}")
-    except ConfigError:
-        raise
+        pairs = [[co["a"], co["b"]]] if kind == "constant" else co["pairs"]
+        # a two-character string would unpack into two rationals
+        if not all(isinstance(pair, list) for pair in pairs):
+            raise ValueError(f"each pair must be a JSON array [a, b], got {pairs!r}")
+        stream = CoefficientStream(kind, tuple(
+            (parse_rational(a), parse_rational(b)) for a, b in pairs))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad coefficients: {exc}")
 
@@ -255,6 +253,10 @@ def main(argv=None) -> int:
             value = getattr(args, key)
             if value is not None:
                 setattr(cfg, key, value)
+        # a NaN, infinite or negative tolerance fixes every verdict whatever the residuals
+        if not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
+            raise ConfigError(f"bad tolerance: expected a finite number >= 0, "
+                              f"got {cfg.tolerance}")
         records, code = commands[args.mode](cfg)
         # opened only once the command has succeeded: an error leaves the file as it was
         with _open_out(args.out) as out:

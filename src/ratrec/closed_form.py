@@ -23,12 +23,11 @@ all nonzero.  ``_v_checked`` is the one place that rule is tested; every
 general entry point folds through it.
 
 V values are advanced one coefficient at a time, so x_m costs O(m)
-rational operations.
+field operations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, List
 
 from ratrec.core import (
@@ -110,8 +109,7 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
         return x_closed_a_neg1(ic, coeffs.at(0)[1], m)
     block = decompose_index(m)
     n, j = block.n, block.j
-    num = Fraction(1)
-    den = Fraction(1)
+    num = den = 1
     # with t - j = 6s + r: V_t is a numerator factor when r = 0, a
     # denominator factor when r = 3, for s = 0..n-1; the fold runs to V_m
     for t, v in enumerate(_v_checked(ic, coeffs, max(m, 0))):
@@ -152,12 +150,11 @@ def x_closed_a_neg1(ic: InitialConditions, b: Rational, m: int) -> Rational:
     exponent +n for odd j, -n for even j; O(log n) operations.  The base is
     x_{-3}x_0 V_1, so when it vanishes x_1 does not exist: the seeds are
     returned and every later index raises."""
-    b = Fraction(b)
     w = _require_nonzero_seeds(ic)
     base = -1 + b * w
     if base == 0 and m > 0:
         raise SingularClosedFormError("a = -1 base (-1 + b x_{-3}x_0) vanished")
     block = decompose_index(m)
     n, j = block.n, block.j
-    pref = prefactor(j, ic, CoefficientStream.constant(-1, b))
+    pref = prefactor(j, ic, CoefficientStream("constant", ((-1, b),)))
     return pref * base ** (n if j % 2 == 1 else -n)

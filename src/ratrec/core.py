@@ -1,10 +1,12 @@
 """Value types, coefficient streams, and the 6-block index algebra.
 
-All exact computation runs on ``fractions.Fraction`` (canonical reduced
-form, positive denominator, arbitrary precision), aliased here as
-``Rational``.  Rational literals parse from "p/q" or integer strings
-only; decimal notation is rejected on purpose, since a decimal string is
-ambiguous as an exact value.
+Exact values are ``fractions.Fraction`` (aliased ``Rational``), made only
+at the boundary: ``parse_rational``, ``InitialConditions.of``, the
+``CoefficientStream`` classmethods, the verify sampler and the bare-scalar
+entry points.  Kernels never coerce: they run on any field scalar with
++ - * /, ** and == 0, which the raw dataclass constructors pass through.
+Rational literals are "p/q" or integer strings; decimals are rejected on
+purpose, since a decimal string is ambiguous as an exact value.
 
 Index conventions live here and nowhere else.  Public APIs speak
 x-indexing (seeds at m = -3..0); the closed-form machinery works in

@@ -12,7 +12,6 @@ Singularity is sticky: no values are produced past the first failure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
 from ratrec.core import (
@@ -81,5 +80,5 @@ def v_sequence(traj: Trajectory) -> List[Rational]:
         lo, hi = traj.x(k - 3), traj.x(k)
         if lo == 0 or hi == 0:
             raise UndefinedVError(f"V_{k} undefined: zero trajectory value")
-        out.append(Fraction(1) / (lo * hi))
+        out.append(1 / (lo * hi))
     return out

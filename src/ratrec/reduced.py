@@ -25,7 +25,7 @@ def v_values(v0: Rational, coeffs: CoefficientStream, n: int) -> Iterator[Ration
     """Yield V_0..V_n, folding ``v_step`` one coefficient at a time."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    v = Fraction(v0)
+    v = v0
     yield v
     for k in range(n):
         v = v_step(v, *coeffs.at(k))

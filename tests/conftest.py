@@ -53,6 +53,35 @@ def fold_v(v0, stream, n):
     return v
 
 
+class GF:
+    """An element of GF(2^61 - 1): a field scalar that is not a Fraction.
+
+    Mixes with ints and Fractions on either side of an operator, as the
+    kernels' literals (``1 / w``, ``-1 + b w``) require.
+    """
+
+    P = 2 ** 61 - 1
+
+    def __init__(self, value):
+        if isinstance(value, GF):
+            value = value.v
+        elif isinstance(value, Fraction):
+            value = value.numerator * pow(value.denominator, -1, GF.P)
+        self.v = value % GF.P
+
+    def __add__(self, other): return GF(self.v + GF(other).v)
+    def __sub__(self, other): return GF(self.v - GF(other).v)
+    def __rsub__(self, other): return GF(other) - self
+    def __mul__(self, other): return GF(self.v * GF(other).v)
+    # pow(0, -1, P) raises ValueError, so a division by zero cannot pass silently
+    def __truediv__(self, other): return GF(self.v * pow(GF(other).v, -1, GF.P))
+    def __rtruediv__(self, other): return GF(other) / self
+    def __pow__(self, n): return GF(pow(self.v, n, GF.P))
+    def __eq__(self, other): return self.v == GF(other).v
+    def __repr__(self): return f"GF({self.v})"
+    __radd__, __rmul__ = __add__, __mul__
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260826)

@@ -85,6 +85,18 @@ class TestConfigParsing:
         assert main(["--config", str(tmp_path / "nope.json"),
                      "--mode", "iterate", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\xff" + json.dumps(UNIT_CONFIG).encode(),
+        json.dumps(UNIT_CONFIG)[:-1].encode() + b', "seed": ' + b"9" * 5000 + b"}",
+    ], ids=["not-utf8", "5000-digit-integer"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["--config", str(path), "--mode", "iterate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot read config")
+
     @pytest.mark.parametrize("placement", ["initial", "constant", "pairs"])
     def test_non_string_rational_exit_code(self, config_path, tmp_path, capsys, placement):
         cfg = json.loads(json.dumps(UNIT_CONFIG))
@@ -117,16 +129,34 @@ class TestConfigParsing:
         ("horizon", 2.9), ("horizon", 1e300), ("horizon", "3"), ("index", True),
         ("index", 1.0), ("trials", "5"), ("trials", False), ("seed", 0.5),
         ("seed", None), ("tolerance", "1e-3"), ("tolerance", True), ("tolerance", [1]),
+        ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", -1e-3),
+        ("coefficients", {"kind": "periodic", "pairs": ["12", "34"]}),
     ])
     def test_scalar_of_wrong_json_type_exit_code(self, config_path, tmp_path, capsys,
                                                  key, value):
-        # integer fields take JSON integers only, tolerance any JSON number;
-        # symmetry reads neither horizon nor index, so a run that wrongly
-        # accepted one of these values would still end quickly
+        # integer fields take JSON integers only, tolerance a finite JSON
+        # number >= 0 (json writes NaN and Infinity), and each coefficient
+        # pair a JSON array; symmetry reads neither horizon nor index, so a
+        # run that wrongly accepted one of these values would still end quickly
         code, text = run(config_path({**UNIT_CONFIG, key: value}), "--mode", "symmetry",
                          tmp_path=tmp_path)
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith(f"config error: bad {key}:")
+
+    @pytest.mark.parametrize("mode", ["verify", "symmetry"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.001"])
+    def test_bad_tolerance_flag_exit_code(self, config_path, tmp_path, capsys,
+                                          mode, tolerance):
+        code, text = run(config_path(UNIT_CONFIG), "--mode", mode, "--trials", "2",
+                         "--tolerance", tolerance, tmp_path=tmp_path)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("config error: bad tolerance:")
+
+    def test_tolerance_is_checked_after_the_flag(self, config_path, tmp_path):
+        # the flag replaces a bad config value before the one check runs
+        code, _ = run(config_path({**UNIT_CONFIG, "tolerance": math.nan}), "--mode",
+                      "symmetry", "--trials", "2", "--tolerance", "1e-10", tmp_path=tmp_path)
+        assert code == 0
 
     def test_integer_tolerance_is_a_number(self):
         assert parse_config({**UNIT_CONFIG, "tolerance": 1}).tolerance == 1.0

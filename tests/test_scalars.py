@@ -1,0 +1,120 @@
+"""The number type is chosen at the boundary only.
+
+The kernels run unchanged on any field scalar; ``GF`` (conftest) is one
+that ``Fraction()`` cannot read.  The bare-scalar entry points coerce to
+``Fraction`` themselves, so plain ints still give exact answers.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from ratrec.closed_form import (
+    ClosedFormError,
+    SingularClosedFormError,
+    prefactor,
+    x_closed,
+    x_closed_a_neg1,
+    x_closed_all,
+    x_closed_constant,
+)
+from ratrec.core import CoefficientStream, InitialConditions
+from ratrec.engine import iterate, v_sequence
+from ratrec.reduced import v_closed_constant, v_values
+from tests.conftest import GF, fold_v, rand_seeds, rand_stream
+from tests.test_closed_form import small_pair, small_rational
+
+ONES = InitialConditions.of(1, 1, 1, 1)
+HORIZON = 24
+
+
+def to_gf(ic, stream):
+    """The same instance over GF(p), built with the raw constructors."""
+    return (InitialConditions(*map(GF, ic.as_tuple())),
+            CoefficientStream(stream.kind, tuple((GF(a), GF(b)) for a, b in stream.pairs)))
+
+
+def outcome(fn, *args):
+    """A call's value, or the class of the ClosedFormError it raised."""
+    try:
+        return fn(*args)
+    except ClosedFormError as exc:
+        return type(exc)
+
+
+def assert_reduces(exact, modular):
+    """``modular`` is the GF(p) image of ``exact``, element by element."""
+    if isinstance(exact, type):
+        assert modular is exact
+        return
+    exact, modular = (list(x) if isinstance(x, (list, tuple)) else [x]
+                      for x in (exact, modular))
+    assert len(modular) == len(exact)
+    assert all(type(g) is GF for g in modular)
+    assert modular == [GF(q) for q in exact]
+
+
+def instances(rng, count):
+    """Random seeds and streams; every other instance draws from {0, +-1/2,
+    +-1, +-2}, so zero seeds and singular steps occur, and every fourth has
+    a constant a = -1 stream, which takes the power path."""
+    for i in range(count):
+        if i % 2:
+            ic = InitialConditions.of(*(small_rational(rng) for _ in range(4)))
+            stream = CoefficientStream.periodic(
+                [small_pair(rng) for _ in range(rng.randint(1, 6))])
+        else:
+            ic, stream = rand_seeds(rng), rand_stream(rng, HORIZON)
+        if i % 4 == 3:
+            stream = CoefficientStream.constant(-1, small_rational(rng))
+        yield ic, stream
+
+
+class TestKernelsOverGF:
+    def test_every_kernel_reduces_mod_p(self, rng):
+        for ic, stream in instances(rng, 40):
+            gic, gstream = to_gf(ic, stream)
+            traj, gtraj = iterate(ic, stream, HORIZON), iterate(gic, gstream, HORIZON)
+            assert gtraj.singular == traj.singular
+            assert_reduces(traj.values, gtraj.values)
+            if ic.all_nonzero():
+                assert_reduces(list(v_values(1 / (ic.x_m3 * ic.x_0), stream, HORIZON)),
+                               list(v_values(1 / (gic.x_m3 * gic.x_0), gstream, HORIZON)))
+            if traj.is_regular and 0 not in traj.values:
+                assert_reduces(v_sequence(traj), v_sequence(gtraj))
+            for j in range(6):
+                assert_reduces(outcome(prefactor, j, ic, stream),
+                               outcome(prefactor, j, gic, gstream))
+            assert_reduces(outcome(x_closed_all, ic, stream, HORIZON),
+                           outcome(x_closed_all, gic, gstream, HORIZON))
+            for m in range(-3, HORIZON + 1):
+                assert_reduces(outcome(x_closed, ic, stream, m),
+                               outcome(x_closed, gic, gstream, m))
+
+    def test_power_path_runs_over_gf(self):
+        # constant a = -1, b = 3 from seeds 1: base -1 + 3 = 2, so x_4 = 2
+        gic, gstream = to_gf(ONES, CoefficientStream.constant(-1, 3))
+        assert x_closed(gic, gstream, 4) == GF(2)
+        assert x_closed_a_neg1(gic, GF(3), 4) == GF(2)
+
+    def test_singular_witness_stops_at_the_same_step(self):
+        ic, stream = to_gf(ONES, CoefficientStream.periodic([(-1, 1), (2, 1)]))
+        assert iterate(ic, stream, 8).singular == iterate(ONES, stream, 8).singular
+        assert x_closed(ic, stream, 0) == GF(1)
+        for m in range(1, 9):
+            with pytest.raises(SingularClosedFormError):
+                x_closed(ic, stream, m)
+
+
+class TestBareScalarsStayExact:
+    def test_int_arguments_give_exact_fractions(self):
+        cases = [
+            (v_closed_constant(1, 2, 1, 3), fold_v(1, CoefficientStream.constant(2, 1), 3)),
+            (x_closed_constant(ONES, 1, 1, 3),
+             iterate(ONES, CoefficientStream.constant(1, 1), 3).x(3)),
+            (x_closed_a_neg1(ONES, 3, 4),
+             iterate(ONES, CoefficientStream.constant(-1, 3), 4).x(4)),
+        ]
+        assert [value for value, _ in cases] == [15, Fraction(1, 4), 2]
+        for value, iterated in cases:
+            assert type(value) is Fraction and value == iterated
