@@ -13,9 +13,10 @@ alone emits them and maps errors to exit codes:
   0  success
   1  verification failure: a verify mismatch, or a symmetry verdict that fails
   2  config error: an unreadable config (not UTF-8, bad JSON, an integer
-     over 4300 digits) or --out file, a bad key, a rational that is not a
-     "p/q" string, a coefficient pair that is not a JSON array, a scalar of
-     the wrong JSON type (e.g. "horizon": 2.9, true or 1e400), a tolerance
+     over 4300 digits) or --out file, a key that is unknown, missing or
+     not read by the coefficient kind, a rational that is not a "p/q"
+     string, a coefficient pair that is not a JSON array, a scalar of the
+     wrong JSON type (e.g. "horizon": 2.9, true or 1e400), a tolerance
      that is not finite and >= 0, a negative horizon in iterate or verify,
      fewer than one trial in verify or symmetry, or closed without an index
   3  mathematical domain error: a zero seed in the closed form, an index
@@ -65,7 +66,8 @@ class RunConfig:
 
 _TOP_KEYS = {"initial", "coefficients", "horizon", "index", "trials", "seed", "tolerance"}
 _INITIAL_KEYS = {"x_m3", "x_m2", "x_m1", "x_0"}
-_COEFF_KEYS = {"kind", "a", "b", "pairs"}
+_COEFF_KEYS = {"constant": {"kind", "a", "b"}, "periodic": {"kind", "pairs"},
+               "list": {"kind", "pairs"}}
 
 
 def load_config(path: str) -> RunConfig:
@@ -97,11 +99,11 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"bad initial value: {exc}")
 
     co = raw["coefficients"]
-    if not isinstance(co, dict) or set(co) - _COEFF_KEYS:
-        raise ConfigError(f"coefficients keys must be among {sorted(_COEFF_KEYS)}")
-    kind = co.get("kind")
+    kind = co.get("kind") if isinstance(co, dict) else None
     if kind not in ("constant", "periodic", "list"):
         raise ConfigError(f"coefficients.kind must be constant|periodic|list, got {kind!r}")
+    if set(co) != _COEFF_KEYS[kind]:
+        raise ConfigError(f"bad coefficients: {kind} takes exactly {sorted(_COEFF_KEYS[kind])}")
     try:
         pairs = [[co["a"], co["b"]]] if kind == "constant" else co["pairs"]
         # a two-character string would unpack into two rationals
@@ -109,7 +111,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ValueError(f"each pair must be a JSON array [a, b], got {pairs!r}")
         stream = CoefficientStream(kind, tuple(
             (parse_rational(a), parse_rational(b)) for a, b in pairs))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad coefficients: {exc}")
 
     cfg = RunConfig(initial=ic, coefficients=stream)

@@ -19,16 +19,18 @@ against the iteration oracle.
 
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are
-all nonzero.  ``_v_checked`` is the one place that rule is tested; every
-general entry point folds through it.
+all nonzero.  ``_v_checked`` is the one place that rule is tested: every
+entry point, the a = -1 power form included, reads its prefactors and
+block factors from one checked fold.
 
-V values are advanced one coefficient at a time, so x_m costs O(m)
-field operations.
+V values are advanced one coefficient at a time, so x_m costs O(m) field
+operations; a constant a = -1 stream stops at V_2 and costs O(log m).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from math import prod
+from typing import List
 
 from ratrec.core import (
     CoefficientStream,
@@ -56,39 +58,37 @@ class SingularClosedFormError(ClosedFormError):
     """The index lies at or past the first singular step: some V_t vanished."""
 
 
-def _require_nonzero_seeds(ic: InitialConditions) -> Rational:
+def _v_checked(ic: InitialConditions, coeffs: CoefficientStream,
+               n: int) -> List[Rational]:
+    """V_0..V_n from V_0 = 1/(x_{-3} x_0), raising at the first V_t = 0:
+    x_t, and every later value, does not exist."""
     if not ic.all_nonzero():
         raise ZeroInitialError("closed form requires all four initial values nonzero")
-    return ic.x_m3 * ic.x_0
-
-
-def _v_checked(ic: InitialConditions, coeffs: CoefficientStream,
-               n: int) -> Iterator[Rational]:
-    """Yield V_0..V_n from V_0 = 1/(x_{-3} x_0), raising at the first V_t = 0:
-    x_t, and every later value, does not exist."""
-    w = _require_nonzero_seeds(ic)
-    for t, v in enumerate(v_values(1 / w, coeffs, n)):
+    vs = []
+    for t, v in enumerate(v_values(1 / (ic.x_m3 * ic.x_0), coeffs, n)):
         if v == 0:
             raise SingularClosedFormError(f"V({t}) vanished: x_{t} does not exist")
-        yield v
+        vs.append(v)
+    return vs
+
+
+def _prefactor(j: int, ic: InitialConditions, vs: List[Rational]) -> Rational:
+    """x_{j-3}: the seed for j <= 3, else 1/(x_{j-6} V_{j-3}) from the fold ``vs``."""
+    seeds = ic.as_tuple()
+    return seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
 
 
 def prefactor(j: int, ic: InitialConditions, coeffs: CoefficientStream) -> Rational:
-    """Block prefactor x_{j-3}: the seed for j <= 3, else x_1 (j = 4) or
-    x_2 (j = 5) as 1/(x_{j-6} V_{j-3}) from the checked V fold, which
-    raises unless V_1..V_{j-3} are all nonzero."""
+    """Block prefactor x_{j-3}: the seed for j <= 3, unchecked, else x_1 or x_2
+    from the checked V fold, which raises unless V_1..V_{j-3} are nonzero."""
     if not (0 <= j <= 5):
         raise ValueError(f"residue j must be in 0..5, got {j}")
-    seeds = ic.as_tuple()
-    if j <= 3:
-        return seeds[j]
-    *_, v = _v_checked(ic, coeffs, j - 3)
-    return 1 / (seeds[j - 3] * v)
+    return _prefactor(j, ic, _v_checked(ic, coeffs, j - 3) if j > 3 else [])
 
 
 def branch(coeffs: CoefficientStream) -> str:
     """The paper's case for a stream: constant a = 1, a = -1 or a != +-1,
-    else general.  Only a = -1 has its own kernel (``x_closed_a_neg1``)."""
+    else general.  Only a = -1 has its own path: the power form in ``x_closed``."""
     if coeffs.kind != "constant":
         return BRANCH_GENERAL
     a, _ = coeffs.at(0)
@@ -98,28 +98,20 @@ def branch(coeffs: CoefficientStream) -> str:
 
 
 def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Rational:
-    """x_m from the six-residue-class closed form, exactly.
+    """x_m from the six-residue-class closed form, exactly: the prefactor
+    times the class-j slice of one checked V fold.
 
-    A constant a = -1 stream takes the power form ``x_closed_a_neg1``.
-    Otherwise this is the class-j slice of the ``x_closed_all`` recursion,
-    streamed: only the running products of the numerator and denominator
-    factors are kept.
+    A constant a = -1 stream has V_{t+2} = -(-V_t + b) + b = V_t, so every
+    block factor V_{6s+j}/V_{6s+j+3} is (V_1/V_0)^{+-1}: the fold stops at
+    V_2 and the block product is a power, O(log n) operations.
     """
-    if branch(coeffs) == BRANCH_ANEG1:
-        return x_closed_a_neg1(ic, coeffs.at(0)[1], m)
     block = decompose_index(m)
     n, j = block.n, block.j
-    num = den = 1
-    # with t - j = 6s + r: V_t is a numerator factor when r = 0, a
-    # denominator factor when r = 3, for s = 0..n-1; the fold runs to V_m
-    for t, v in enumerate(_v_checked(ic, coeffs, max(m, 0))):
-        s, r = divmod(t - j, 6)
-        if 0 <= s < n:
-            if r == 0:
-                num *= v
-            elif r == 3:
-                den *= v
-    return prefactor(j, ic, coeffs) * num / den
+    if n and branch(coeffs) == BRANCH_ANEG1:
+        vs = _v_checked(ic, coeffs, 2)
+        return _prefactor(j, ic, vs) * (vs[1] / vs[0]) ** (n if j % 2 == 1 else -n)
+    vs = _v_checked(ic, coeffs, max(m, 0))
+    return _prefactor(j, ic, vs) * prod(vs[j:6 * n:6]) / prod(vs[j + 3:6 * n + 3:6])
 
 
 def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
@@ -132,10 +124,10 @@ def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
     """
     if horizon < -3:
         raise ValueError(f"horizon must be >= -3, got {horizon}")
-    vs = list(_v_checked(ic, coeffs, max(horizon, 0)))
+    vs = _v_checked(ic, coeffs, max(horizon, 0))
     out: List[Rational] = []
     for t in range(horizon + 4):
-        out.append(prefactor(t, ic, coeffs) if t < 6
+        out.append(_prefactor(t, ic, vs) if t < 6
                    else out[t - 6] * vs[t - 6] / vs[t - 3])
     return out
 
@@ -146,15 +138,8 @@ def x_closed_constant(ic: InitialConditions, a: Rational, b: Rational, m: int) -
 
 
 def x_closed_a_neg1(ic: InitialConditions, b: Rational, m: int) -> Rational:
-    """The a = -1 special case: x_{6n+j-3} = prefactor(j) (-1 + b x_{-3}x_0)^{+-n},
-    exponent +n for odd j, -n for even j; O(log n) operations.  The base is
-    x_{-3}x_0 V_1, so when it vanishes x_1 does not exist: the seeds are
-    returned and every later index raises."""
-    w = _require_nonzero_seeds(ic)
-    base = -1 + b * w
-    if base == 0 and m > 0:
-        raise SingularClosedFormError("a = -1 base (-1 + b x_{-3}x_0) vanished")
-    block = decompose_index(m)
-    n, j = block.n, block.j
-    pref = prefactor(j, ic, CoefficientStream("constant", ((-1, b),)))
-    return pref * base ** (n if j % 2 == 1 else -n)
+    """The a = -1 special case: x_{6n+j-3} = prefactor(j) (V_1/V_0)^{+-n},
+    exponent +n for odd j, -n for even j; ``x_closed`` on the (-1, b) stream.
+    V_1/V_0 = -1 + b x_{-3}x_0, so when it vanishes the seeds are returned
+    and every later index raises at V(1)."""
+    return x_closed(ic, CoefficientStream("constant", ((-1, b),)), m)

@@ -131,12 +131,16 @@ class TestConfigParsing:
         ("seed", None), ("tolerance", "1e-3"), ("tolerance", True), ("tolerance", [1]),
         ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", -1e-3),
         ("coefficients", {"kind": "periodic", "pairs": ["12", "34"]}),
+        ("coefficients", {"kind": "periodic", "a": "5", "b": "7", "pairs": [["1", "1"]]}),
+        ("coefficients", {"kind": "constant", "a": "1", "b": "1", "pairs": [["1", "1"]]}),
     ])
     def test_scalar_of_wrong_json_type_exit_code(self, config_path, tmp_path, capsys,
                                                  key, value):
         # integer fields take JSON integers only, tolerance a finite JSON
-        # number >= 0 (json writes NaN and Infinity), and each coefficient
-        # pair a JSON array; symmetry reads neither horizon nor index, so a
+        # number >= 0 (json writes NaN and Infinity), each coefficient pair a
+        # JSON array, and coefficients exactly the keys their kind reads
+        # (constant: a, b; periodic and list: pairs); symmetry reads neither
+        # horizon nor index, so a
         # run that wrongly accepted one of these values would still end quickly
         code, text = run(config_path({**UNIT_CONFIG, key: value}), "--mode", "symmetry",
                          tmp_path=tmp_path)
@@ -285,6 +289,22 @@ class TestClosedMode:
             assert code == 3
             assert captured.out == ""
             assert captured.err.startswith("error:")
+
+    def test_aneg1_zero_base_answers_only_the_seeds(self, config_path, capsys):
+        # a = -1, b x_{-3}x_0 = 1: V_1 = 0, the bracket of x_1, so the one
+        # checked fold refuses index 1 and every seed still prints
+        cfg = {**UNIT_CONFIG, "coefficients": {"kind": "constant", "a": "-1", "b": "1"}}
+        path = config_path(cfg)
+        for index in range(-3, 1):
+            code = main(["--config", path, "--mode", "closed", "--index", str(index),
+                         "--output", "jsonl"])
+            assert code == 0
+            assert jsonl_records(capsys.readouterr().out) == [
+                {"m": index, "value": "1", "branch": "aneg1"}]
+        code = main(["--config", path, "--mode", "closed", "--index", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: V(1) vanished")
 
 
 class TestVerifyMode:

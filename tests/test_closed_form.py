@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratrec import reduced
 from ratrec.closed_form import (
     SingularClosedFormError,
     ZeroInitialError,
@@ -61,6 +62,14 @@ class TestPrefactor:
                 continue
             assert prefactor(4, ic, stream) == traj.x(1)
             assert prefactor(5, ic, stream) == traj.x(2)
+
+    def test_seeds_need_no_domain(self):
+        # j <= 3 names a seed, which exists even when another seed is zero
+        ic = InitialConditions.of(0, 2, 0, 3)
+        for j in range(4):
+            assert prefactor(j, ic, UNIT_STREAM) == ic.as_tuple()[j]
+        with pytest.raises(ZeroInitialError):
+            prefactor(4, ic, UNIT_STREAM)
 
     def test_bad_residue(self):
         with pytest.raises(ValueError):
@@ -191,8 +200,10 @@ class TestANeg1:
             assert x_closed(ONES, stream, m) == 1
         assert not iterate(ONES, stream, 1).is_regular
         for m in range(1, 13):
-            with pytest.raises(SingularClosedFormError):
+            with pytest.raises(SingularClosedFormError, match=r"^V\(1\) vanished"):
                 x_closed(ONES, stream, m)
+            with pytest.raises(SingularClosedFormError, match=r"^V\(1\) vanished"):
+                x_closed_a_neg1(ONES, Fraction(1), m)
 
     def test_parity_rule_against_oracle(self, rng):
         # the odd/even-j exponent rule is verified, not trusted
@@ -214,6 +225,39 @@ class TestANeg1:
     def test_dispatch_from_constant(self):
         assert (x_closed_constant(ONES, Fraction(-1), Fraction(3), 4)
                 == x_closed_a_neg1(ONES, Fraction(3), 4))
+
+
+class TestOneFold:
+    """Each call folds V once, and the a = -1 power form stops at V_2."""
+
+    STREAM = CoefficientStream.periodic([(1, 1), (2, 1), (Fraction(1, 2), 3)])
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        true_step = reduced.v_step
+
+        def counted(v, a, b):
+            calls.append((a, b))
+            return true_step(v, a, b)
+
+        monkeypatch.setattr(reduced, "v_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [-3, 0, 1, 2, 3, 25, 26])
+    def test_x_closed(self, steps, m):
+        x_closed(ONES, self.STREAM, m)
+        assert len(steps) == max(m, 0)
+
+    @pytest.mark.parametrize("horizon", [-3, 0, 1, 2, 30])
+    def test_x_closed_all(self, steps, horizon):
+        x_closed_all(ONES, self.STREAM, horizon)
+        assert len(steps) == max(horizon, 0)
+
+    def test_a_neg1_power_form(self, steps):
+        # m = 600001 = 6n + 4 - 3 with n = 100000: x_1 * (V_1/V_0)^-n, V_1/V_0 = 2
+        assert x_closed_a_neg1(ONES, Fraction(3), 600001) == Fraction(1, 2 ** 100001)
+        assert len(steps) <= 2
 
 
 def small_rational(rng, nonzero=False):
