@@ -6,7 +6,9 @@ Modes:
   verify    randomized closed-form-vs-iteration equivalence report
   symmetry  max linearized-symmetry residual per characteristic
 
-Configuration comes from a JSON file (--config) with flag overrides.
+Configuration comes from a JSON file (--config); a flag replaces the config
+key of the same name.  Each value given is checked for its type, and the
+setting kept for its range, once and in every mode.
 Exact values are always printed as "p/q" strings; floats appear only in
 symmetry reports.  Each command returns its records and exit code; main
 alone emits them and maps errors to exit codes:
@@ -17,8 +19,8 @@ alone emits them and maps errors to exit codes:
      not read by the coefficient kind, a rational that is not a "p/q"
      string, a coefficient pair that is not a JSON array, a scalar of the
      wrong JSON type (e.g. "horizon": 2.9, true or 1e400), a tolerance
-     that is not finite and >= 0, a negative horizon in iterate or verify,
-     fewer than one trial in verify or symmetry, or closed without an index
+     that is not finite and >= 0, a negative horizon, fewer than one
+     trial, or closed without an index
   3  mathematical domain error: a zero seed in the closed form, an index
      at or past the first singular step of the iteration (the first x it
      cannot compute), an index below -3, or an index past a list
@@ -64,25 +66,38 @@ class RunConfig:
     tolerance: float = 1e-10
 
 
-_TOP_KEYS = {"initial", "coefficients", "horizon", "index", "trials", "seed", "tolerance"}
+# each scalar setting, from the config or its flag: (type, least value or
+# None, flag help).  The seeds cover x_{-3}..x_0, so horizon >= 0; an empty
+# run checks nothing, so trials >= 1; a NaN, infinite or negative tolerance
+# fixes every verdict whatever the residuals.
+_SETTINGS = {
+    "index": (int, None, "target index m (closed mode)"),
+    "horizon": (int, 0, "last index to compute/verify"),
+    "trials": (int, 1, "trial/sample count"),
+    "seed": (int, None, "RNG seed"),
+    "tolerance": (float, 0, "residual tolerance"),
+}
+_TOP_KEYS = {"initial", "coefficients", *_SETTINGS}
 _INITIAL_KEYS = {"x_m3", "x_m2", "x_m1", "x_0"}
 _COEFF_KEYS = {"constant": {"kind", "a", "b"}, "periodic": {"kind", "pairs"},
                "list": {"kind", "pairs"}}
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, **flags) -> RunConfig:
+    """Read the JSON config at path; each keyword replaces the setting of its name."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    return parse_config(raw)
+    return parse_config(raw, **flags)
 
 
-def parse_config(raw: dict) -> RunConfig:
+def parse_config(raw: dict, **flags) -> RunConfig:
+    """Check a JSON config object; each keyword replaces the setting of its name."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = (set(raw) - _TOP_KEYS) | (set(flags) - set(_SETTINGS))
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in ("initial", "coefficients"):
@@ -115,18 +130,20 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"bad coefficients: {exc}")
 
     cfg = RunConfig(initial=ic, coefficients=stream)
-    for key, types in (("horizon", int), ("index", int), ("trials", int),
-                       ("seed", int), ("tolerance", (int, float))):
-        if key in raw:
-            value = raw[key]
+    for key, (cast, least, _) in _SETTINGS.items():
+        # the config value, then the keyword: each is type-checked, the last one kept
+        for value in [source[key] for source in (raw, flags) if key in source]:
             # bool is an int subclass, and int() would truncate 2.9 or read "5"
-            if isinstance(value, bool) or not isinstance(value, types):
-                kind = "integer" if types is int else "number"
-                raise ConfigError(f"bad {key}: expected a JSON {kind}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, cast)):
+                expected = "integer" if cast is int else "number"
+                raise ConfigError(f"bad {key}: expected a JSON {expected}, got {value!r}")
             try:
-                setattr(cfg, key, value if types is int else float(value))
+                setattr(cfg, key, cast(value))
             except OverflowError as exc:
                 raise ConfigError(f"bad {key}: {exc}")
+        value = getattr(cfg, key)
+        if least is not None and not least <= value < math.inf:
+            raise ConfigError(f"bad {key}: expected a finite number >= {least}, got {value}")
     return cfg
 
 
@@ -152,8 +169,6 @@ def emit(records: List[Dict], fmt: str, out) -> None:
 
 
 def cmd_iterate(cfg: RunConfig) -> Result:
-    if cfg.horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
     traj = iterate(cfg.initial, cfg.coefficients, cfg.horizon)
     records = [{"m": m, "x": format_rational(traj.x(m)), "status": "ok",
                 "step": "", "cause": ""}
@@ -173,10 +188,6 @@ def cmd_closed(cfg: RunConfig) -> Result:
 
 
 def cmd_verify(cfg: RunConfig, corrupt: bool = False) -> Result:
-    if cfg.horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {cfg.horizon}")
-    if cfg.trials < 1:
-        raise ConfigError(f"verify needs trials >= 1, got {cfg.trials}")
     report = run_verification(trials=cfg.trials, horizon=cfg.horizon,
                               seed=cfg.seed, corrupt=corrupt)
     record = {
@@ -200,8 +211,6 @@ def cmd_verify(cfg: RunConfig, corrupt: bool = False) -> Result:
 
 
 def cmd_symmetry(cfg: RunConfig) -> Result:
-    if cfg.trials < 1:
-        raise ConfigError(f"symmetry needs trials >= 1, got {cfg.trials}")
     samples = symmetry.random_samples(random.Random(cfg.seed), cfg.trials)
     control = symmetry.custom(lambda n: complex(1.0, 0.0), label="control-g1")
     records = []
@@ -222,13 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--mode", required=True,
                    choices=["iterate", "closed", "verify", "symmetry"])
-    p.add_argument("--index", type=int, help="target index m (closed mode)")
-    p.add_argument("--horizon", type=int, help="last index to compute/verify")
+    for key, (cast, _, text) in _SETTINGS.items():
+        p.add_argument("--" + key, type=cast, help=text)
     p.add_argument("--output", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--trials", type=int, help="trial/sample count")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--tolerance", type=float, help="residual tolerance")
     p.add_argument("--corrupt", action="store_true",
                    help="testing hook: deliberately corrupt the closed form "
                         "so verify must fail")
@@ -250,15 +256,8 @@ def main(argv=None) -> int:
     commands = {"iterate": cmd_iterate, "closed": cmd_closed, "symmetry": cmd_symmetry,
                 "verify": lambda cfg: cmd_verify(cfg, corrupt=args.corrupt)}
     try:
-        cfg = load_config(args.config)
-        for key in ("index", "horizon", "trials", "seed", "tolerance"):
-            value = getattr(args, key)
-            if value is not None:
-                setattr(cfg, key, value)
-        # a NaN, infinite or negative tolerance fixes every verdict whatever the residuals
-        if not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
-            raise ConfigError(f"bad tolerance: expected a finite number >= 0, "
-                              f"got {cfg.tolerance}")
+        cfg = load_config(args.config, **{key: value for key, value in vars(args).items()
+                                          if key in _SETTINGS and value is not None})
         records, code = commands[args.mode](cfg)
         # opened only once the command has succeeded: an error leaves the file as it was
         with _open_out(args.out) as out:

@@ -97,15 +97,12 @@ class CoefficientStream:
     def at(self, n: int) -> Tuple[Rational, Rational]:
         if n < 0:
             raise IndexError(f"stream index must be >= 0, got {n}")
-        if self.kind == "constant":
-            return self.pairs[0]
-        if self.kind == "periodic":
-            return self.pairs[n % len(self.pairs)]
-        if n >= len(self.pairs):
+        if self.kind == "list" and n >= len(self.pairs):
             raise HorizonError(
                 f"stream index {n} beyond declared horizon {len(self.pairs) - 1}"
             )
-        return self.pairs[n]
+        # a constant stream is a periodic one with one pair
+        return self.pairs[n % len(self.pairs)]
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ratrec
 from ratrec.cli import load_config, main, parse_config, ConfigError
 from ratrec.core import parse_rational
 from ratrec.engine import iterate
@@ -164,6 +167,44 @@ class TestConfigParsing:
 
     def test_integer_tolerance_is_a_number(self):
         assert parse_config({**UNIT_CONFIG, "tolerance": 1}).tolerance == 1.0
+
+    def test_keywords_replace_settings(self, config_path):
+        assert load_config(config_path({**UNIT_CONFIG, "horizon": -1}), horizon=5).horizon == 5
+        # a replaced config value must still have the right type
+        with pytest.raises(ConfigError, match="bad horizon"):
+            parse_config({**UNIT_CONFIG, "horizon": 2.5}, horizon=5)
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            parse_config(UNIT_CONFIG, bogus=1)
+
+    def test_tolerance_too_large_for_a_float_exit_code(self, config_path, capsys):
+        # json reads a 400-digit integer exactly, and float() of it overflows
+        code = main(["--config", config_path({**UNIT_CONFIG, "tolerance": 10 ** 400}),
+                     "--mode", "symmetry", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error: bad tolerance:")
+
+
+class TestEachSettingCheckedInEveryMode:
+    """A setting is checked once, whether a mode reads it or not, and a
+    config key and its flag give the same answer."""
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("mode, key, value", [
+        ("closed", "horizon", -1), ("symmetry", "horizon", -1),
+        ("iterate", "trials", 0), ("closed", "trials", 0),
+    ])
+    def test_out_of_range_exit_code(self, config_path, capsys, source, mode, key, value):
+        cfg = {**UNIT_CONFIG, "index": 3}
+        argv = ["--mode", mode]
+        if source == "config":
+            cfg[key] = value
+        else:
+            argv += [f"--{key}", str(value)]
+        code = main(["--config", config_path(cfg), *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"config error: bad {key}:")
 
 
 class TestOutFileSurvivesErrors:
@@ -389,6 +430,32 @@ class TestSymmetryMode:
         code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
                          "--trials", trials, tmp_path=tmp_path)
         assert code == 2 and text == ""
+
+
+class TestModuleEntryPoint:
+    """``python -m ratrec.cli`` in a real process, read through its exit status."""
+
+    def _run(self, *argv):
+        src = os.path.dirname(os.path.dirname(ratrec.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "ratrec.cli", *argv],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                              timeout=120)
+
+    def test_output_matches_main(self, config_path, capsys):
+        path = config_path(UNIT_CONFIG)
+        proc = self._run("--config", path, "--mode", "iterate")
+        assert main(["--config", path, "--mode", "iterate"]) == 0
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--mode", "iterate", "--horizon", "x"], 2),
+        (["--mode", "closed", "--index", "-4"], 3),
+    ])
+    def test_exit_status(self, config_path, argv, status):
+        proc = self._run("--config", config_path(UNIT_CONFIG), *argv)
+        assert proc.returncode == status and proc.stdout == b""
 
 
 class TestOutputFormats:
