@@ -12,7 +12,6 @@ from ratrec.core import (
     format_rational,
     CoefficientStream,
     InitialConditions,
-    BlockIndex,
     SingularReport,
     Trajectory,
     decompose_index,
@@ -37,7 +36,6 @@ __all__ = [
     "format_rational",
     "CoefficientStream",
     "InitialConditions",
-    "BlockIndex",
     "Trajectory",
     "decompose_index",
     "SingularReport",

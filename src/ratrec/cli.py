@@ -14,8 +14,9 @@ symmetry reports.  Each command returns its records and exit code; main
 alone emits them and maps errors to exit codes:
   0  success
   1  verification failure: a verify mismatch, or a symmetry verdict that fails
-  2  config error: an unreadable config (not UTF-8, bad JSON, an integer
-     over 4300 digits) or --out file, a key that is unknown, missing or
+  2  config error: an unreadable config (not UTF-8, bad JSON, nested too
+     deeply, an integer over 4300 digits), an output that cannot be
+     written (--out or stdout), a key that is unknown, missing or
      not read by the coefficient kind, a rational that is not a "p/q"
      string, a coefficient pair that is not a JSON array, a scalar of the
      wrong JSON type (e.g. "horizon": 2.9, true or 1e400), a tolerance
@@ -34,6 +35,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -88,7 +90,7 @@ def load_config(path: str, **flags) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config(raw, **flags)
 
@@ -154,18 +156,27 @@ def parse_config(raw: dict, **flags) -> RunConfig:
 Result = Tuple[List[Dict], int]
 
 
-def emit(records: List[Dict], fmt: str, out) -> None:
-    if not records:
-        return
-    if fmt == "jsonl":
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
-        return
-    fields = list(records[0])
-    writer = csv.DictWriter(out, fieldnames=fields, quoting=csv.QUOTE_NONNUMERIC)
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec)
+def emit(records: List[Dict], fmt: str, path: Optional[str]) -> None:
+    """Write the records to the file at path, or to stdout.  An output that
+    cannot be opened, written or flushed is a config error."""
+    try:
+        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+            if fmt == "jsonl":
+                out.writelines(json.dumps(rec) + "\n" for rec in records)
+            elif records:
+                writer = csv.DictWriter(out, fieldnames=list(records[0]),
+                                        quoting=csv.QUOTE_NONNUMERIC)
+                writer.writeheader()
+                writer.writerows(records)
+            out.flush()
+    except OSError as exc:
+        if not path:
+            # stdout keeps the unwritten bytes, and the interpreter's exit flush
+            # would fail on them again: send them to the null device instead
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ConfigError(f"cannot write output {path or '<stdout>'}: {exc}")
 
 
 def cmd_iterate(cfg: RunConfig) -> Result:
@@ -212,7 +223,7 @@ def cmd_verify(cfg: RunConfig, corrupt: bool = False) -> Result:
 
 def cmd_symmetry(cfg: RunConfig) -> Result:
     samples = symmetry.random_samples(random.Random(cfg.seed), cfg.trials)
-    control = symmetry.custom(lambda n: complex(1.0, 0.0), label="control-g1")
+    control = symmetry.Characteristic(lambda n: complex(1.0, 0.0), "control-g1")
     records = []
     for char in symmetry.builtin_characteristics() + [control]:
         worst = symmetry.residual_sweep(char, samples)
@@ -241,15 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _open_out(path: Optional[str]):
-    if not path:
-        return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot open output {path}: {exc}")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # built per call, so a cmd_* replaced on the module (by a tracer) is the one that runs
@@ -259,9 +261,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, **{key: value for key, value in vars(args).items()
                                           if key in _SETTINGS and value is not None})
         records, code = commands[args.mode](cfg)
-        # opened only once the command has succeeded: an error leaves the file as it was
-        with _open_out(args.out) as out:
-            emit(records, args.output, out)
+        # written only once the command has succeeded: an error leaves --out as it was
+        emit(records, args.output, args.out)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

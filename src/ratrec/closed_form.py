@@ -105,8 +105,7 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
     block factor V_{6s+j}/V_{6s+j+3} is (V_1/V_0)^{+-1}: the fold stops at
     V_2 and the block product is a power, O(log n) operations.
     """
-    block = decompose_index(m)
-    n, j = block.n, block.j
+    n, j = decompose_index(m)
     if n and branch(coeffs) == BRANCH_ANEG1:
         vs = _v_checked(ic, coeffs, 2)
         return _prefactor(j, ic, vs) * (vs[1] / vs[0]) ** (n if j % 2 == 1 else -n)

@@ -125,33 +125,11 @@ class InitialConditions:
         return all(v != 0 for v in self.as_tuple())
 
 
-@dataclass(frozen=True)
-class BlockIndex:
-    """x-index m written as m = 6n + j - 3 with residue j in 0..5."""
-
-    n: int
-    j: int
-
-    def __post_init__(self):
-        if self.n < 0 or not (0 <= self.j <= 5):
-            raise ValueError(f"invalid block index (n={self.n}, j={self.j})")
-
-    @property
-    def x_index(self) -> int:
-        return 6 * self.n + self.j - 3
-
-    @property
-    def u_index(self) -> int:
-        # u_k = x_{k-3}, so the u-index is m + 3 = 6n + j
-        return 6 * self.n + self.j
-
-
-def decompose_index(m: int) -> BlockIndex:
+def decompose_index(m: int) -> Tuple[int, int]:
     """Unique (n, j) with m = 6n + j - 3, j in 0..5, n >= 0."""
     if m < -3:
         raise IndexError(f"x-index must be >= -3, got {m}")
-    u = m + 3
-    return BlockIndex(n=u // 6, j=u % 6)
+    return divmod(m + 3, 6)
 
 
 @dataclass(frozen=True)

@@ -62,24 +62,12 @@ class Characteristic:
         return self.g(n) * u
 
 
-def alternating() -> Characteristic:
-    return Characteristic(g=lambda n: complex((-1) ** (n % 2), 0.0), label="alternating")
-
-
-def gamma_char() -> Characteristic:
-    return Characteristic(g=gamma_power, label="gamma")
-
-
-def gamma_conjugate() -> Characteristic:
-    return Characteristic(g=lambda n: gamma_power(n).conjugate(), label="gamma-conjugate")
-
-
-def custom(g: Callable[[int], complex], label: str = "custom") -> Characteristic:
-    return Characteristic(g=g, label=label)
-
-
 def builtin_characteristics() -> List[Characteristic]:
-    return [alternating(), gamma_char(), gamma_conjugate()]
+    return [
+        Characteristic(g=lambda n: complex((-1) ** (n % 2), 0.0), label="alternating"),
+        Characteristic(g=gamma_power, label="gamma"),
+        Characteristic(g=lambda n: gamma_power(n).conjugate(), label="gamma-conjugate"),
+    ]
 
 
 def symmetry_residual(char: Characteristic, n: int,

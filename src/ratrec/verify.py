@@ -64,9 +64,12 @@ class VerificationReport:
     trials_run: int = 0
     trials_skipped: int = 0
     max_symmetry_residual: float = 0.0
-    all_exact_match: bool = True
     witness: Optional[Witness] = None
     indices_checked: int = 0
+
+    @property
+    def all_exact_match(self) -> bool:
+        return self.witness is None
 
 
 def check_instance(ic: InitialConditions, stream: CoefficientStream, horizon: int,
@@ -123,10 +126,8 @@ def run_verification(trials: int, horizon: int, seed: int,
             continue
         report.trials_run += 1
         report.indices_checked += horizon + 4
-        if witness is not None:
-            report.all_exact_match = False
-            if report.witness is None:
-                report.witness = witness
+        if report.witness is None:
+            report.witness = witness
     samples = symmetry.random_samples(rng, RESIDUAL_SAMPLES)
     report.max_symmetry_residual = max(
         symmetry.residual_sweep(char, samples)

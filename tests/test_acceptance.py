@@ -146,7 +146,7 @@ def test_criterion_5_symmetry_residuals():
     for char in symmetry.builtin_characteristics():
         worsts[char.label] = symmetry.residual_sweep(char, samples)
         assert worsts[char.label] <= 1e-10
-    control = symmetry.custom(lambda n: complex(1.0, 0.0), label="g1")
+    control = symmetry.Characteristic(lambda n: complex(1.0, 0.0), "g1")
     control_worst = symmetry.residual_sweep(control, samples)
     assert control_worst >= 1e-3
     report(5, True,

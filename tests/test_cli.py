@@ -91,7 +91,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("content", [
         b"\xff" + json.dumps(UNIT_CONFIG).encode(),
         json.dumps(UNIT_CONFIG)[:-1].encode() + b', "seed": ' + b"9" * 5000 + b"}",
-    ], ids=["not-utf8", "5000-digit-integer"])
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["not-utf8", "5000-digit-integer", "nested-too-deeply"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "config.json"
         path.write_bytes(content)
@@ -435,12 +436,15 @@ class TestSymmetryMode:
 class TestModuleEntryPoint:
     """``python -m ratrec.cli`` in a real process, read through its exit status."""
 
-    def _run(self, *argv):
+    def _run(self, *argv, stdout=subprocess.PIPE):
         src = os.path.dirname(os.path.dirname(ratrec.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # stdout block-buffered, as in a plain shell, whatever runs the tests
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
         return subprocess.run([sys.executable, "-m", "ratrec.cli", *argv],
-                              capture_output=True, env={**os.environ, "PYTHONPATH": path},
-                              timeout=120)
+                              stdout=stdout, stderr=subprocess.PIPE,
+                              env={**env, "PYTHONPATH": path}, timeout=120)
 
     def test_output_matches_main(self, config_path, capsys):
         path = config_path(UNIT_CONFIG)
@@ -456,6 +460,35 @@ class TestModuleEntryPoint:
     def test_exit_status(self, config_path, argv, status):
         proc = self._run("--config", config_path(UNIT_CONFIG), *argv)
         assert proc.returncode == status and proc.stdout == b""
+
+    def _assert_write_error(self, proc):
+        # one line on stderr: no traceback, no complaint from the exit-time flush
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 2 and len(lines) == 1
+        assert lines[0].startswith("config error: cannot write output")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_unwritable_out_file(self, config_path):
+        self._assert_write_error(self._run("--config", config_path(UNIT_CONFIG),
+                                           "--mode", "iterate", "--out", "/dev/full"))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_unwritable_stdout(self, config_path):
+        with open("/dev/full", "wb") as full:
+            proc = self._run("--config", config_path(UNIT_CONFIG), "--mode", "iterate",
+                             stdout=full)
+        self._assert_write_error(proc)
+
+    def test_closed_pipe_on_stdout(self, config_path):
+        # the reader is gone before the first write, as when `| head` has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run("--config", config_path(UNIT_CONFIG), "--mode", "iterate",
+                             "--horizon", "150", stdout=write_end)
+        finally:
+            os.close(write_end)
+        self._assert_write_error(proc)
 
 
 class TestOutputFormats:
@@ -546,7 +579,8 @@ class TestEveryInputGetsAnExitCode:
             assert code in (0, 1, 2, 3)
             if mode == "closed" and code == 0:
                 # an answer only where the iteration reaches the index
-                cfg = parse_config(config)
+                # the config as main read it: JSON arrays, not the drawn tuples
+                cfg = parse_config(json.loads(json.dumps(config)))
                 traj = iterate(cfg.initial, cfg.coefficients, max(index, 0))
                 assert traj.is_regular
                 with open(os.path.join(tmp, out), newline="") as fh:

@@ -37,11 +37,11 @@ def literal_t(stream, w, t):
 def literal_x_closed(ic, stream, m):
     """x_m by the literal block-product form with the s-corrected bounds."""
     w = ic.x_m3 * ic.x_0
-    block = decompose_index(m)
-    value = prefactor(block.j, ic, stream)
-    for s in range(block.n):
-        value *= literal_t(stream, w, 6 * s + block.j)
-        value /= literal_t(stream, w, 6 * s + block.j + 3)
+    n, j = decompose_index(m)
+    value = prefactor(j, ic, stream)
+    for s in range(n):
+        value *= literal_t(stream, w, 6 * s + j)
+        value /= literal_t(stream, w, 6 * s + j + 3)
     return value
 
 

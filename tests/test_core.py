@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratrec.core import (
-    BlockIndex,
     CoefficientStream,
     HorizonError,
     InitialConditions,
@@ -48,8 +47,7 @@ class TestParseRational:
 class TestBlockIndex:
     @pytest.mark.parametrize("m,n,j", [(-3, 0, 0), (0, 0, 3), (7, 1, 4), (2, 0, 5), (3, 1, 0)])
     def test_examples(self, m, n, j):
-        block = decompose_index(m)
-        assert (block.n, block.j) == (n, j)
+        assert decompose_index(m) == (n, j)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -57,16 +55,9 @@ class TestBlockIndex:
 
     @given(st.integers(min_value=-3, max_value=10_000))
     def test_round_trip(self, m):
-        block = decompose_index(m)
-        assert block.x_index == m
-        assert 0 <= block.j <= 5 and block.n >= 0
-        assert block.u_index == m + 3
-
-    def test_invalid_block(self):
-        with pytest.raises(ValueError):
-            BlockIndex(n=-1, j=0)
-        with pytest.raises(ValueError):
-            BlockIndex(n=0, j=6)
+        n, j = decompose_index(m)
+        assert 6 * n + j - 3 == m
+        assert 0 <= j <= 5 and n >= 0
 
 
 class TestCoefficientStream:

@@ -7,13 +7,10 @@ from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate, step, v_sequence
 from ratrec import symmetry
 from ratrec.symmetry import (
+    Characteristic,
     ConditioningError,
-    alternating,
     canonical_coordinate,
     constraint_residual,
-    custom,
-    gamma_char,
-    gamma_conjugate,
     gamma_power,
     h_factor,
     hh,
@@ -29,6 +26,8 @@ UNIT_STREAM = CoefficientStream.constant(1, 1)
 
 IDENT_TOL = 1e-10
 TABLE_TOL = 1e-12
+
+BUILTIN = {char.label: char for char in symmetry.builtin_characteristics()}
 
 
 def sample_sweep(rng, count=500):
@@ -72,24 +71,24 @@ class TestPhi:
 
 
 class TestSymmetryResidual:
-    @pytest.mark.parametrize("char", [alternating(), gamma_char(), gamma_conjugate()],
+    @pytest.mark.parametrize("char", symmetry.builtin_characteristics(),
                              ids=lambda c: c.label)
     def test_builtins_vanish(self, rng, char):
         for s in sample_sweep(rng):
             assert abs(symmetry_residual(char, *s)) <= IDENT_TOL
 
     def test_spec_sample(self):
-        r = symmetry_residual(gamma_char(), 2, 1.5, 0.75, 1.25, 1.0, 0.5)
+        r = symmetry_residual(BUILTIN["gamma"], 2, 1.5, 0.75, 1.25, 1.0, 0.5)
         assert abs(r) <= IDENT_TOL
 
     def test_negative_control(self, rng):
-        control = custom(lambda n: complex(1.0, 0.0), label="g1")
+        control = Characteristic(lambda n: complex(1.0, 0.0), "g1")
         worst = max(abs(symmetry_residual(control, *s)) for s in sample_sweep(rng))
         assert worst >= 1e-3
 
     def test_conditioning_guard(self):
         with pytest.raises(ConditioningError):
-            symmetry_residual(alternating(), 0, 1.0, 1e-12, 1.0, 1.0, 1.0)
+            symmetry_residual(BUILTIN["alternating"], 0, 1.0, 1e-12, 1.0, 1.0, 1.0)
 
 
 class TestConstraintResidual:
@@ -100,7 +99,7 @@ class TestConstraintResidual:
                 assert abs(constraint_residual(char, n)) <= tol
 
     def test_control(self):
-        control = custom(lambda n: complex(1.0, 0.0))
+        control = Characteristic(lambda n: complex(1.0, 0.0), "g1")
         assert constraint_residual(control, 11) == 2
 
 
