@@ -22,13 +22,8 @@ from ratrec.engine import (
     iterate,
     v_sequence,
 )
-from ratrec.reduced import v_step, v_values, v_closed, v_closed_constant
-from ratrec.closed_form import (
-    x_closed,
-    x_closed_constant,
-    x_closed_a_neg1,
-    prefactor,
-)
+from ratrec.reduced import v_step, v_values, v_closed_constant
+from ratrec.closed_form import x_closed, x_closed_constant
 
 __all__ = [
     "Rational",
@@ -45,12 +40,9 @@ __all__ = [
     "v_sequence",
     "v_step",
     "v_values",
-    "v_closed",
     "v_closed_constant",
     "x_closed",
     "x_closed_constant",
-    "x_closed_a_neg1",
-    "prefactor",
 ]
 
 __version__ = "0.1.0"

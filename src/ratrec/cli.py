@@ -11,17 +11,18 @@ key of the same name.  Each value given is checked for its type, and the
 setting kept for its range, once and in every mode.
 Exact values are always printed as "p/q" strings; floats appear only in
 symmetry reports.  Each command returns its records and exit code; main
-alone emits them and maps errors to exit codes:
+alone emits them, flushes the standard streams and maps errors to exit
+codes.  A standard error that cannot be written keeps the status.
   0  success
   1  verification failure: a verify mismatch, or a symmetry verdict that fails
-  2  config error: an unreadable config (not UTF-8, bad JSON, nested too
-     deeply, an integer over 4300 digits), an output that cannot be
-     written (--out or stdout), a key that is unknown, missing or
-     not read by the coefficient kind, a rational that is not a "p/q"
-     string, a coefficient pair that is not a JSON array, a scalar of the
-     wrong JSON type (e.g. "horizon": 2.9, true or 1e400), a tolerance
-     that is not finite and >= 0, a negative horizon, fewer than one
-     trial, or closed without an index
+  2  usage or config error: an unknown flag, an unreadable config (not
+     UTF-8, bad JSON, nested too deeply, an integer over 4300 digits), an
+     output that cannot be written (--out, or stdout, --help's included),
+     a key that is unknown, missing or not read by the coefficient kind,
+     a rational that is not a "p/q" string, a coefficient pair that is not
+     a JSON array, a scalar of the wrong JSON type (e.g. "horizon": 2.9,
+     true or 1e400), a tolerance that is not finite and >= 0, a negative
+     horizon, fewer than one trial, or closed without an index
   3  mathematical domain error: a zero seed in the closed form, an index
      at or past the first singular step of the iteration (the first x it
      cannot compute), an index below -3, or an index past a list
@@ -157,8 +158,8 @@ Result = Tuple[List[Dict], int]
 
 
 def emit(records: List[Dict], fmt: str, path: Optional[str]) -> None:
-    """Write the records to the file at path, or to stdout.  An output that
-    cannot be opened, written or flushed is a config error."""
+    """Write the records to the file at path, or to stdout, which ``main``
+    flushes.  An output that cannot be opened or written is a config error."""
     try:
         with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
             if fmt == "jsonl":
@@ -168,14 +169,7 @@ def emit(records: List[Dict], fmt: str, path: Optional[str]) -> None:
                                         quoting=csv.QUOTE_NONNUMERIC)
                 writer.writeheader()
                 writer.writerows(records)
-            out.flush()
     except OSError as exc:
-        if not path:
-            # stdout keeps the unwritten bytes, and the interpreter's exit flush
-            # would fail on them again: send them to the null device instead
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         raise ConfigError(f"cannot write output {path or '<stdout>'}: {exc}")
 
 
@@ -198,9 +192,8 @@ def cmd_closed(cfg: RunConfig) -> Result:
              "branch": branch(cfg.coefficients)}], 0
 
 
-def cmd_verify(cfg: RunConfig, corrupt: bool = False) -> Result:
-    report = run_verification(trials=cfg.trials, horizon=cfg.horizon,
-                              seed=cfg.seed, corrupt=corrupt)
+def cmd_verify(cfg: RunConfig) -> Result:
+    report = run_verification(trials=cfg.trials, horizon=cfg.horizon, seed=cfg.seed)
     record = {
         "trials_run": report.trials_run,
         "trials_skipped": report.trials_skipped,
@@ -246,30 +239,50 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + key, type=cast, help=text)
     p.add_argument("--output", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--corrupt", action="store_true",
-                   help="testing hook: deliberately corrupt the closed form "
-                        "so verify must fail")
     return p
 
 
+def _discard(stream) -> None:
+    """Point a standard stream that failed a write at the null device: it
+    keeps the unwritten bytes, and the interpreter's exit flush would fail
+    on them again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # built per call, so a cmd_* replaced on the module (by a tracer) is the one that runs
-    commands = {"iterate": cmd_iterate, "closed": cmd_closed, "symmetry": cmd_symmetry,
-                "verify": lambda cfg: cmd_verify(cfg, corrupt=args.corrupt)}
+    commands = {"iterate": cmd_iterate, "closed": cmd_closed, "verify": cmd_verify,
+                "symmetry": cmd_symmetry}
+    error = None
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config, **{key: value for key, value in vars(args).items()
                                           if key in _SETTINGS and value is not None})
         records, code = commands[args.mode](cfg)
         # written only once the command has succeeded: an error leaves --out as it was
         emit(records, args.output, args.out)
-        return code
+    except SystemExit as exc:  # argparse, after --help or a usage error
+        code = exc.code
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, f"config error: {exc}"
     except (ClosedFormError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, f"error: {exc}"
+    # the one place a standard stream that cannot be written is handled:
+    # stdout that fails is a config error, and stderr that fails keeps the status
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard(sys.stdout)
+        code, error = 2, f"config error: cannot write output <stdout>: {exc}"
+    try:
+        if error:
+            print(error, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        _discard(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

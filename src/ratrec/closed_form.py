@@ -3,11 +3,11 @@
 Decompose m = 6n + j - 3.  With V_t the reduced values V_{t+1} = a_t V_t + b_t
 from V_0 = 1/w, w = x_{-3} x_0 (``reduced.v_values``), the solution is
 
-    x_m = prefactor(j) * prod_{s=0}^{n-1} V_{6s+j} / V_{6s+j+3}
+    x_m = x_{j-3} * prod_{s=0}^{n-1} V_{6s+j} / V_{6s+j+3}
 
-where prefactor(j) = x_{j-3}: the seed for j <= 3, and x_{j-3} =
-1/(x_{j-6} V_{j-3}) for j = 4, 5.  The paper states the factors as the
-numerator/denominator polynomial
+where the prefactor x_{j-3} is the seed for j <= 3, and 1/(x_{j-6} V_{j-3})
+for j = 4, 5.  The paper states the factors as the numerator/denominator
+polynomial
 
     T(t) = prod_{k=0}^{t-1} a_k  +  w * sum_{l=0}^{t-1} b_l prod_{k=l+1}^{t-1} a_k,
 
@@ -19,9 +19,9 @@ against the iteration oracle.
 
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are
-all nonzero.  ``_v_checked`` is the one place that rule is tested: every
-entry point, the a = -1 power form included, reads its prefactors and
-block factors from one checked fold.
+all nonzero.  ``_v_checked`` is the one place that rule is tested:
+``x_closed`` and ``x_closed_all``, the a = -1 power form included, read
+their prefactors and block factors from one checked fold.
 
 V values are advanced one coefficient at a time, so x_m costs O(m) field
 operations; a constant a = -1 stream stops at V_2 and costs O(log m).
@@ -78,14 +78,6 @@ def _prefactor(j: int, ic: InitialConditions, vs: List[Rational]) -> Rational:
     return seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
 
 
-def prefactor(j: int, ic: InitialConditions, coeffs: CoefficientStream) -> Rational:
-    """Block prefactor x_{j-3}: the seed for j <= 3, unchecked, else x_1 or x_2
-    from the checked V fold, which raises unless V_1..V_{j-3} are nonzero."""
-    if not (0 <= j <= 5):
-        raise ValueError(f"residue j must be in 0..5, got {j}")
-    return _prefactor(j, ic, _v_checked(ic, coeffs, j - 3) if j > 3 else [])
-
-
 def branch(coeffs: CoefficientStream) -> str:
     """The paper's case for a stream: constant a = 1, a = -1 or a != +-1,
     else general.  Only a = -1 has its own path: the power form in ``x_closed``."""
@@ -103,7 +95,9 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
 
     A constant a = -1 stream has V_{t+2} = -(-V_t + b) + b = V_t, so every
     block factor V_{6s+j}/V_{6s+j+3} is (V_1/V_0)^{+-1}: the fold stops at
-    V_2 and the block product is a power, O(log n) operations.
+    V_2 and x_m = x_{j-3} (V_1/V_0)^{+n} for odd j, ^{-n} for even j, in
+    O(log n) operations.  V_1/V_0 = -1 + b x_{-3} x_0; where it vanishes
+    only the seeds exist.
     """
     n, j = decompose_index(m)
     if n and branch(coeffs) == BRANCH_ANEG1:
@@ -134,11 +128,3 @@ def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
 def x_closed_constant(ic: InitialConditions, a: Rational, b: Rational, m: int) -> Rational:
     """Constant-coefficient x_m: ``x_closed`` on the constant stream."""
     return x_closed(ic, CoefficientStream.constant(a, b), m)
-
-
-def x_closed_a_neg1(ic: InitialConditions, b: Rational, m: int) -> Rational:
-    """The a = -1 special case: x_{6n+j-3} = prefactor(j) (V_1/V_0)^{+-n},
-    exponent +n for odd j, -n for even j; ``x_closed`` on the (-1, b) stream.
-    V_1/V_0 = -1 + b x_{-3}x_0, so when it vanishes the seeds are returned
-    and every later index raises at V(1)."""
-    return x_closed(ic, CoefficientStream("constant", ((-1, b),)), m)

@@ -87,13 +87,6 @@ class CoefficientStream:
     def explicit(cls, pairs: Sequence[Tuple[Rational, Rational]]) -> "CoefficientStream":
         return cls("list", tuple((Fraction(a), Fraction(b)) for a, b in pairs))
 
-    @property
-    def horizon(self) -> Optional[int]:
-        """Largest admissible n, or None when unbounded."""
-        if self.kind == "list":
-            return len(self.pairs) - 1
-        return None
-
     def at(self, n: int) -> Tuple[Rational, Rational]:
         if n < 0:
             raise IndexError(f"stream index must be >= 0, got {n}")

@@ -32,13 +32,6 @@ def v_values(v0: Rational, coeffs: CoefficientStream, n: int) -> Iterator[Ration
         yield v
 
 
-def v_closed(v0: Rational, coeffs: CoefficientStream, n: int) -> Rational:
-    """Closed-form V_n for the given coefficient stream, exactly."""
-    for v in v_values(v0, coeffs, n):
-        pass
-    return v
-
-
 def v_closed_constant(v0: Rational, a: Rational, b: Rational, n: int) -> Rational:
     """Constant-coefficient specialization.
 

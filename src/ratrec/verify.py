@@ -72,8 +72,8 @@ class VerificationReport:
         return self.witness is None
 
 
-def check_instance(ic: InitialConditions, stream: CoefficientStream, horizon: int,
-                   corrupt: bool = False) -> Optional[Witness]:
+def check_instance(ic: InitialConditions, stream: CoefficientStream,
+                   horizon: int) -> Optional[Witness]:
     """Compare the batch closed form with the iteration at every index.
 
     ``x_closed_all`` sets x_k = x_{k-6} V_{k-3} / V_k from the fold of
@@ -81,19 +81,15 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream, horizon: in
     folded V_k is 1/(x_{k-3} x_k): one comparison checks both identities.
     Returns None on agreement, a Witness on the first mismatch; raises _Skip
     unless the iteration is regular and the seeds are nonzero, which puts
-    the whole instance inside the closed form's domain.  ``corrupt``
-    perturbs the closed form (negative-control hook for the CLI contract).
+    the whole instance inside the closed form's domain.
     """
     traj = iterate(ic, stream, horizon)
     if not traj.is_regular or not ic.all_nonzero():
         raise _Skip
     closed = x_closed_all(ic, stream, horizon)
     for m in range(-3, horizon + 1):
-        value = closed[m + 3]
-        if corrupt and m >= 1:
-            value += 1
-        if value != traj.x(m):
-            return Witness(ic, stream, m, traj.x(m), value)
+        if closed[m + 3] != traj.x(m):
+            return Witness(ic, stream, m, traj.x(m), closed[m + 3])
     # the per-index entry point shares the formula but not the recursion;
     # spot-check it against the batch path
     for m in (0, min(7, horizon), horizon):
@@ -107,8 +103,7 @@ class _Skip(Exception):
     pass
 
 
-def run_verification(trials: int, horizon: int, seed: int,
-                     corrupt: bool = False) -> VerificationReport:
+def run_verification(trials: int, horizon: int, seed: int) -> VerificationReport:
     """Run the randomized oracle-equivalence suite plus a residual sweep.
 
     Raises ValueError for fewer than one trial: an empty run checks nothing."""
@@ -120,7 +115,7 @@ def run_verification(trials: int, horizon: int, seed: int,
         ic = random_seeds(rng)
         stream = random_stream(rng, horizon)
         try:
-            witness = check_instance(ic, stream, horizon, corrupt=corrupt)
+            witness = check_instance(ic, stream, horizon)
         except _Skip:
             report.trials_skipped += 1
             continue

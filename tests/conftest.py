@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratrec import verify
 from ratrec.core import CoefficientStream, InitialConditions
 
 
@@ -85,3 +86,12 @@ class GF:
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+@pytest.fixture
+def corrupt_closed_form(monkeypatch):
+    """Negative control: verify's batch closed form is off by 1 from x_1 on,
+    so every instance that verify runs must give a witness."""
+    true_all = verify.x_closed_all
+    monkeypatch.setattr(verify, "x_closed_all", lambda ic, stream, horizon: [
+        x + (m >= 1) for m, x in enumerate(true_all(ic, stream, horizon), start=-3)])

@@ -17,13 +17,12 @@ from ratrec.cli import main
 from ratrec.closed_form import (
     ClosedFormError,
     x_closed,
-    x_closed_a_neg1,
     x_closed_all,
     x_closed_constant,
 )
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate, v_sequence
-from ratrec.reduced import v_closed, v_step
+from ratrec.reduced import v_step, v_values
 from ratrec import symmetry
 from tests.conftest import rand_seeds, rand_stream
 
@@ -85,12 +84,10 @@ def test_criterion_3_reduction_identity():
             a_k, b_k = stream.at(k)
             assert vs[k + 1] == v_step(vs[k], a_k, b_k)
         # closed form equals the fold, seeded from V_0 of this trajectory
-        v = vs[0]
-        for n in range(201):
-            assert v_closed(vs[0], stream, n) == v
-            if n < 200:
-                a_n, b_n = stream.at(n)
-                v = v_step(v, a_n, b_n)
+        fold = [vs[0]]
+        for n in range(200):
+            fold.append(v_step(fold[-1], *stream.at(n)))
+        assert list(v_values(vs[0], stream, 200)) == fold
         checked += 1
     report(3, True, f"V-recurrence and closed form exact on {checked} trajectories, n <= 200")
 
@@ -117,19 +114,20 @@ def test_criterion_4_constant_branches():
             done += 1
         assert done == 50, f"(a={a}, b={b}): only {done} regular instances"
     # a = -1 parity witness from the derivation check
-    assert x_closed_a_neg1(ONES, Fraction(3), 3) == Fraction(1, 2)
-    assert x_closed_a_neg1(ONES, Fraction(3), 4) == 2
+    assert x_closed(ONES, CoefficientStream.constant(-1, 3), 3) == Fraction(1, 2)
+    assert x_closed(ONES, CoefficientStream.constant(-1, 3), 4) == 2
     done = 0
     while done < 50:
         ic = rand_seeds(rng)
         b = Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 9))
         if -1 + b * ic.x_m3 * ic.x_0 == 0:
             continue
-        traj = iterate(ic, CoefficientStream.constant(-1, b), 45)
+        stream = CoefficientStream.constant(-1, b)
+        traj = iterate(ic, stream, 45)
         if not regular(traj):
             continue
         for m in range(-3, 46):
-            assert x_closed_a_neg1(ic, b, m) == traj.x(m)
+            assert x_closed(ic, stream, m) == traj.x(m)
         done += 1
     report(4, True, "20 (a,b) grid cells x 50 instances + 50 a=-1 parity instances, exact")
 
@@ -211,7 +209,7 @@ def test_criterion_8_log_reconstruction():
            f"({attempts} candidates drawn)")
 
 
-def test_criterion_9_cli_contract(tmp_path):
+def test_criterion_9_cli_contract(tmp_path, request):
     cfg = {
         "initial": {"x_m3": "1", "x_m2": "1", "x_m1": "1", "x_0": "1"},
         "coefficients": {"kind": "constant", "a": "1", "b": "1"},
@@ -225,8 +223,9 @@ def test_criterion_9_cli_contract(tmp_path):
     out_ok = tmp_path / "verify.jsonl"
     assert main(base + ["--output", "jsonl", "--out", str(out_ok)]) == 0
 
+    request.getfixturevalue("corrupt_closed_form")
     out_bad = tmp_path / "corrupt.jsonl"
-    assert main(base + ["--corrupt", "--output", "jsonl", "--out", str(out_bad)]) == 1
+    assert main(base + ["--output", "jsonl", "--out", str(out_bad)]) == 1
     recs = [json.loads(line) for line in out_bad.read_text().splitlines()]
     assert any("witness_index" in r for r in recs)
 
@@ -242,4 +241,5 @@ def test_criterion_9_cli_contract(tmp_path):
     for j, c in zip(jrecs, crecs):
         assert list(j) == list(c)
         assert {k: str(v) for k, v in j.items()} == c
-    report(9, True, "verify exits 0, corrupt hook exits 1 with witness, CSV == JSONL")
+    report(9, True, "verify exits 0, a corrupted closed form exits 1 with witness, "
+                   "CSV == JSONL")

@@ -359,10 +359,11 @@ class TestVerifyMode:
         assert rec["all_exact_match"] is True
         assert rec["trials_run"] + rec["trials_skipped"] == 25
 
-    def test_corrupt_hook_fails_with_witness(self, config_path, tmp_path):
+    def test_corrupt_hook_fails_with_witness(self, config_path, tmp_path,
+                                             corrupt_closed_form):
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
                          "--trials", "25", "--horizon", "60", "--seed", "0",
-                         "--corrupt", tmp_path=tmp_path)
+                         tmp_path=tmp_path)
         assert code == 1
         recs = jsonl_records(text)
         assert recs[0]["all_exact_match"] is False
@@ -380,10 +381,10 @@ class TestVerifyMode:
                          "--trials", "3", "--horizon", "-2", tmp_path=tmp_path)
         assert code == 2 and text == ""
 
-    def test_corrupt_csv_is_one_record(self, config_path, tmp_path):
+    def test_corrupt_csv_is_one_record(self, config_path, tmp_path, corrupt_closed_form):
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
                          "--trials", "25", "--horizon", "60", "--seed", "0",
-                         "--corrupt", tmp_path=tmp_path, fmt="csv")
+                         tmp_path=tmp_path, fmt="csv")
         assert code == 1
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 1
@@ -436,14 +437,17 @@ class TestSymmetryMode:
 class TestModuleEntryPoint:
     """``python -m ratrec.cli`` in a real process, read through its exit status."""
 
-    def _run(self, *argv, stdout=subprocess.PIPE):
+    def _run(self, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+             unbuffered=False):
         src = os.path.dirname(os.path.dirname(ratrec.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         # stdout block-buffered, as in a plain shell, whatever runs the tests
         env = {key: value for key, value in os.environ.items()
                if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run([sys.executable, "-m", "ratrec.cli", *argv],
-                              stdout=stdout, stderr=subprocess.PIPE,
+                              stdout=stdout, stderr=stderr,
                               env={**env, "PYTHONPATH": path}, timeout=120)
 
     def test_output_matches_main(self, config_path, capsys):
@@ -456,6 +460,8 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv, status", [
         (["--mode", "iterate", "--horizon", "x"], 2),
         (["--mode", "closed", "--index", "-4"], 3),
+        # the negative control is a test seam, not a flag of the program
+        (["--mode", "verify", "--corrupt"], 2),
     ])
     def test_exit_status(self, config_path, argv, status):
         proc = self._run("--config", config_path(UNIT_CONFIG), *argv)
@@ -478,6 +484,31 @@ class TestModuleEntryPoint:
             proc = self._run("--config", config_path(UNIT_CONFIG), "--mode", "iterate",
                              stdout=full)
         self._assert_write_error(proc)
+
+    # unbuffered, argparse drops a failed write itself, so --help exits 0 there
+    # and a usage error exits 2 already; those two runs are left out
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv, unwritable, status, unbuffered", [
+        pytest.param(["--help"], "stdout", 2, False, id="help"),
+        pytest.param(["--mode", "closed"], "stderr", 2, False, id="config-error"),
+        pytest.param(["--mode", "closed"], "stderr", 2, True, id="config-error-unbuffered"),
+        pytest.param(["--mode", "bogus"], "stderr", 2, False, id="usage-error"),
+        pytest.param(["--mode", "closed", "--index", "-4"], "stderr", 3, False,
+                     id="domain-error"),
+        pytest.param(["--mode", "closed", "--index", "-4"], "stderr", 3, True,
+                     id="domain-error-unbuffered"),
+    ])
+    def test_unwritable_standard_stream(self, config_path, argv, unwritable, status,
+                                        unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = self._run("--config", config_path(UNIT_CONFIG), *argv,
+                             unbuffered=unbuffered, **{unwritable: full})
+        assert proc.returncode == status
+        if unwritable == "stdout":
+            # the stderr that can be read: one line, no traceback, no exit-flush complaint
+            self._assert_write_error(proc)
+        else:
+            assert proc.stdout == b""
 
     def test_closed_pipe_on_stdout(self, config_path):
         # the reader is gone before the first write, as when `| head` has exited

@@ -6,15 +6,13 @@ from ratrec import reduced
 from ratrec.closed_form import (
     SingularClosedFormError,
     ZeroInitialError,
-    prefactor,
     x_closed,
-    x_closed_a_neg1,
     x_closed_all,
     x_closed_constant,
 )
 from ratrec.core import CoefficientStream, InitialConditions, decompose_index
 from ratrec.engine import iterate
-from ratrec.reduced import v_closed
+from ratrec.reduced import v_values
 from tests.conftest import rand_seeds, rand_stream
 
 ONES = InitialConditions.of(1, 1, 1, 1)
@@ -38,7 +36,7 @@ def literal_x_closed(ic, stream, m):
     """x_m by the literal block-product form with the s-corrected bounds."""
     w = ic.x_m3 * ic.x_0
     n, j = decompose_index(m)
-    value = prefactor(j, ic, stream)
+    value = x_closed(ic, stream, j - 3)
     for s in range(n):
         value *= literal_t(stream, w, 6 * s + j)
         value /= literal_t(stream, w, 6 * s + j + 3)
@@ -46,13 +44,15 @@ def literal_x_closed(ic, stream, m):
 
 
 class TestPrefactor:
+    """The prefactor of residue j is x_{j-3}, the block-0 value."""
+
     def test_seed_passthrough(self):
         ic = InitialConditions.of(5, 7, 11, 13)
-        assert prefactor(2, ic, UNIT_STREAM) == 11
+        assert x_closed(ic, UNIT_STREAM, -1) == 11
 
     def test_x1_x2(self):
-        assert prefactor(4, ONES, UNIT_STREAM) == Fraction(1, 2)
-        assert prefactor(5, ONES, UNIT_STREAM) == Fraction(1, 3)
+        assert x_closed(ONES, UNIT_STREAM, 1) == Fraction(1, 2)
+        assert x_closed(ONES, UNIT_STREAM, 2) == Fraction(1, 3)
 
     def test_matches_iterate(self, rng):
         for _ in range(20):
@@ -60,20 +60,8 @@ class TestPrefactor:
             traj = iterate(ic, stream, 2)
             if not traj.is_regular or any(v == 0 for v in traj.values):
                 continue
-            assert prefactor(4, ic, stream) == traj.x(1)
-            assert prefactor(5, ic, stream) == traj.x(2)
-
-    def test_seeds_need_no_domain(self):
-        # j <= 3 names a seed, which exists even when another seed is zero
-        ic = InitialConditions.of(0, 2, 0, 3)
-        for j in range(4):
-            assert prefactor(j, ic, UNIT_STREAM) == ic.as_tuple()[j]
-        with pytest.raises(ZeroInitialError):
-            prefactor(4, ic, UNIT_STREAM)
-
-    def test_bad_residue(self):
-        with pytest.raises(ValueError):
-            prefactor(6, ONES, UNIT_STREAM)
+            assert x_closed(ic, stream, 1) == traj.x(1)
+            assert x_closed(ic, stream, 2) == traj.x(2)
 
 
 class TestXClosed:
@@ -89,6 +77,10 @@ class TestXClosed:
     def test_zero_seed_refused(self):
         with pytest.raises(ZeroInitialError):
             x_closed(InitialConditions.of(1, 0, 1, 1), UNIT_STREAM, 3)
+        # at every index, a seed's own included
+        for m in range(-3, 3):
+            with pytest.raises(ZeroInitialError):
+                x_closed(InitialConditions.of(0, 2, 0, 3), UNIT_STREAM, m)
 
     def test_matches_literal_form(self, rng):
         for _ in range(6):
@@ -122,10 +114,10 @@ class TestXClosed:
             v0 = 1 / w
             for j in range(6):
                 for s in range(4):
-                    hi = v_closed(v0, stream, 6 * s + j + 3)
+                    vs = list(v_values(v0, stream, 6 * s + j + 3))
+                    lo, hi = vs[6 * s + j], vs[-1]
                     if hi == 0:
                         continue
-                    lo = v_closed(v0, stream, 6 * s + j)
                     assert (literal_t(stream, w, 6 * s + j)
                             / literal_t(stream, w, 6 * s + j + 3)) == lo / hi
 
@@ -176,20 +168,24 @@ class TestXClosedConstant:
 
 
 class TestANeg1:
+    """``x_closed`` on a constant a = -1 stream: the power form."""
+
     def test_derived_witness(self):
         # ic all ones, b = 3: base = 2, x_3 = 1/2 (even j), x_4 = 2 (odd j)
-        assert x_closed_a_neg1(ONES, Fraction(3), 3) == Fraction(1, 2)
-        assert x_closed_a_neg1(ONES, Fraction(3), 4) == 2
+        stream = CoefficientStream.constant(-1, 3)
+        assert x_closed(ONES, stream, 3) == Fraction(1, 2)
+        assert x_closed(ONES, stream, 4) == 2
 
     def test_base_one_fixed_profile(self):
         # b = 2 gives base 1; every block repeats the seeds/prefactors
-        traj = iterate(ONES, CoefficientStream.constant(-1, 2), 30)
+        stream = CoefficientStream.constant(-1, 2)
+        traj = iterate(ONES, stream, 30)
         for m in range(-3, 31):
-            assert x_closed_a_neg1(ONES, Fraction(2), m) == traj.x(m)
+            assert x_closed(ONES, stream, m) == traj.x(m)
 
     def test_base_zero_rejected(self):
         with pytest.raises(SingularClosedFormError):
-            x_closed_a_neg1(ONES, Fraction(1), 3)
+            x_closed(ONES, CoefficientStream.constant(-1, 1), 3)
 
     def test_base_zero_keeps_only_the_seeds(self):
         # b = 1 gives base 0, the bracket of x_1: the seeds stand through
@@ -202,8 +198,6 @@ class TestANeg1:
         for m in range(1, 13):
             with pytest.raises(SingularClosedFormError, match=r"^V\(1\) vanished"):
                 x_closed(ONES, stream, m)
-            with pytest.raises(SingularClosedFormError, match=r"^V\(1\) vanished"):
-                x_closed_a_neg1(ONES, Fraction(1), m)
 
     def test_parity_rule_against_oracle(self, rng):
         # the odd/even-j exponent rule is verified, not trusted
@@ -218,13 +212,13 @@ class TestANeg1:
             if not traj.is_regular or any(v == 0 for v in traj.values):
                 continue
             for m in range(-3, 28):
-                assert x_closed_a_neg1(ic, b, m) == traj.x(m)
+                assert x_closed(ic, stream, m) == traj.x(m)
             checked += 1
         assert checked >= 10
 
     def test_dispatch_from_constant(self):
         assert (x_closed_constant(ONES, Fraction(-1), Fraction(3), 4)
-                == x_closed_a_neg1(ONES, Fraction(3), 4))
+                == x_closed(ONES, CoefficientStream.constant(-1, 3), 4))
 
 
 class TestOneFold:
@@ -256,7 +250,8 @@ class TestOneFold:
 
     def test_a_neg1_power_form(self, steps):
         # m = 600001 = 6n + 4 - 3 with n = 100000: x_1 * (V_1/V_0)^-n, V_1/V_0 = 2
-        assert x_closed_a_neg1(ONES, Fraction(3), 600001) == Fraction(1, 2 ** 100001)
+        stream = CoefficientStream.constant(-1, 3)
+        assert x_closed(ONES, stream, 600001) == Fraction(1, 2 ** 100001)
         assert len(steps) <= 2
 
 
@@ -307,4 +302,4 @@ class TestDomain:
         stream = CoefficientStream.periodic([(-1, 1), (2, 1)])
         assert not iterate(ONES, stream, 1).is_regular
         with pytest.raises(SingularClosedFormError):
-            prefactor(5, ONES, stream)
+            x_closed(ONES, stream, 2)

@@ -64,7 +64,6 @@ class TestCoefficientStream:
     def test_constant(self):
         s = CoefficientStream.constant(1, 2)
         assert s.at(99) == (Fraction(1), Fraction(2))
-        assert s.horizon is None
 
     def test_periodic(self):
         s = CoefficientStream.periodic([(1, 0), (2, 1)])
@@ -73,7 +72,6 @@ class TestCoefficientStream:
 
     def test_explicit_horizon(self):
         s = CoefficientStream.explicit([(1, 0)] * 4)
-        assert s.horizon == 3
         assert s.at(3) == (Fraction(1), Fraction(0))
         with pytest.raises(HorizonError):
             s.at(7)

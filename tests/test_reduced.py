@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratrec.core import CoefficientStream
-from ratrec.reduced import v_closed, v_closed_constant, v_step
+from ratrec.reduced import v_closed_constant, v_step, v_values
 from tests.conftest import fold_v, literal_v_closed, rand_stream
 
 small_rationals = st.fractions(
@@ -21,36 +21,39 @@ class TestVStep:
 
 
 class TestVClosed:
+    """V_0..V_n from ``v_values`` against the closed form's oracles."""
+
     def test_varying_stream(self):
         # a_n = n+1, b_n = 1: V_1 = 2, V_2 = 5
         stream = CoefficientStream.explicit([(k + 1, 1) for k in range(10)])
-        assert v_closed(Fraction(1), stream, 2) == 5
+        assert list(v_values(Fraction(1), stream, 2)) == [1, 2, 5]
 
     def test_n_zero_is_seed(self):
         stream = CoefficientStream.constant(3, -2)
-        assert v_closed(Fraction(7, 5), stream, 0) == Fraction(7, 5)
+        assert list(v_values(Fraction(7, 5), stream, 0)) == [Fraction(7, 5)]
 
     def test_a_one_collapses(self):
-        assert v_closed(Fraction(1), CoefficientStream.constant(1, 1), 10) == 11
+        assert (list(v_values(Fraction(1), CoefficientStream.constant(1, 1), 10))
+                == list(range(1, 12)))
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
-            v_closed(Fraction(1), CoefficientStream.constant(1, 1), -1)
+            list(v_values(Fraction(1), CoefficientStream.constant(1, 1), -1))
 
     def test_matches_fold_to_200(self, rng):
         for _ in range(10):
             stream = rand_stream(rng, 200)
             v0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            for n in (0, 1, 7, 50, 200):
-                assert v_closed(v0, stream, n) == fold_v(v0, stream, n)
+            assert (list(v_values(v0, stream, 200))
+                    == [fold_v(v0, stream, n) for n in range(201)])
 
     def test_matches_literal_nested_products(self, rng):
         # the literal spec form is the oracle up to n = 50
         for _ in range(8):
             stream = rand_stream(rng, 50)
             v0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            for n in (0, 3, 17, 50):
-                assert v_closed(v0, stream, n) == literal_v_closed(v0, stream, n)
+            assert (list(v_values(v0, stream, 50))
+                    == [literal_v_closed(v0, stream, n) for n in range(51)])
 
     def test_homogeneity(self, rng):
         # b == 0 makes V_n linear in the seed
@@ -62,7 +65,7 @@ class TestVClosed:
             for k in range(30):
                 prod *= stream.at(k)[0]
             for v0 in (Fraction(1), Fraction(-5, 3)):
-                assert v_closed(v0, stream, 30) == v0 * prod
+                assert list(v_values(v0, stream, 30))[-1] == v0 * prod
 
 
 class TestVClosedConstant:
@@ -82,4 +85,4 @@ class TestVClosedConstant:
     @settings(max_examples=200)
     def test_agrees_with_general(self, v0, a, b, n):
         stream = CoefficientStream.constant(a, b)
-        assert v_closed_constant(v0, a, b, n) == v_closed(v0, stream, n)
+        assert v_closed_constant(v0, a, b, n) == list(v_values(v0, stream, n))[-1]

@@ -12,9 +12,7 @@ import pytest
 from ratrec.closed_form import (
     ClosedFormError,
     SingularClosedFormError,
-    prefactor,
     x_closed,
-    x_closed_a_neg1,
     x_closed_all,
     x_closed_constant,
 )
@@ -82,9 +80,6 @@ class TestKernelsOverGF:
                                list(v_values(1 / (gic.x_m3 * gic.x_0), gstream, HORIZON)))
             if traj.is_regular and 0 not in traj.values:
                 assert_reduces(v_sequence(traj), v_sequence(gtraj))
-            for j in range(6):
-                assert_reduces(outcome(prefactor, j, ic, stream),
-                               outcome(prefactor, j, gic, gstream))
             assert_reduces(outcome(x_closed_all, ic, stream, HORIZON),
                            outcome(x_closed_all, gic, gstream, HORIZON))
             for m in range(-3, HORIZON + 1):
@@ -95,7 +90,6 @@ class TestKernelsOverGF:
         # constant a = -1, b = 3 from seeds 1: base -1 + 3 = 2, so x_4 = 2
         gic, gstream = to_gf(ONES, CoefficientStream.constant(-1, 3))
         assert x_closed(gic, gstream, 4) == GF(2)
-        assert x_closed_a_neg1(gic, GF(3), 4) == GF(2)
 
     def test_singular_witness_stops_at_the_same_step(self):
         ic, stream = to_gf(ONES, CoefficientStream.periodic([(-1, 1), (2, 1)]))
@@ -112,7 +106,7 @@ class TestBareScalarsStayExact:
             (v_closed_constant(1, 2, 1, 3), fold_v(1, CoefficientStream.constant(2, 1), 3)),
             (x_closed_constant(ONES, 1, 1, 3),
              iterate(ONES, CoefficientStream.constant(1, 1), 3).x(3)),
-            (x_closed_a_neg1(ONES, 3, 4),
+            (x_closed_constant(ONES, -1, 3, 4),
              iterate(ONES, CoefficientStream.constant(-1, 3), 4).x(4)),
         ]
         assert [value for value, _ in cases] == [15, Fraction(1, 4), 2]

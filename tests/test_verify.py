@@ -28,14 +28,6 @@ class TestSkips:
 
 
 class TestWitness:
-    def test_corrupt_names_an_iterated_value(self):
-        horizon = 10
-        traj = iterate(ONES, UNIT_STREAM, horizon)
-        w = check_instance(ONES, UNIT_STREAM, horizon, corrupt=True)
-        assert w is not None and w.index >= 1
-        assert w.expected == traj.x(w.index)
-        assert w.got == w.expected + 1
-
     def test_fold_fault_names_an_iterated_value(self, monkeypatch):
         # V_{k+1} = a_k V_k + b_k off by 1/7 at step k = 4 only, picked out by
         # the one coefficient pair that occurs there
