@@ -265,6 +265,8 @@ def main(argv=None) -> int:
         emit(records, args.output, args.out)
     except SystemExit as exc:  # argparse, after --help or a usage error
         code = exc.code
+    except OSError as exc:  # argparse's help or usage text, where argparse lets it raise
+        code, error = 2, f"config error: cannot write help or usage text: {exc}"
     except ConfigError as exc:
         code, error = 2, f"config error: {exc}"
     except (ClosedFormError, IndexError) as exc:
