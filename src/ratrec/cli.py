@@ -226,12 +226,24 @@ def cmd_symmetry(cfg: RunConfig) -> Result:
     return records, 0 if all(rec["pass"] for rec in records) else 1
 
 
+class _Help(argparse.Action):
+    """--help that writes the help text itself: argparse's own action drops a
+    failed unbuffered write and exits 0, where this one lets the OSError
+    reach ``main``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(parser.format_help())
+        raise SystemExit(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="ratrec",
+        prog="ratrec", add_help=False,
         description="Exact iteration, closed-form solution, and verification "
                     "of the fourth-order rational recurrence "
                     "x_{n+1} = x_{n-3}x_n / (x_{n-2}(a_n + b_n x_{n-3}x_n)).")
+    p.add_argument("-h", "--help", action=_Help, nargs=0, default=argparse.SUPPRESS,
+                   help="show this help message and exit")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--mode", required=True,
                    choices=["iterate", "closed", "verify", "symmetry"])
@@ -265,7 +277,7 @@ def main(argv=None) -> int:
         emit(records, args.output, args.out)
     except SystemExit as exc:  # argparse, after --help or a usage error
         code = exc.code
-    except OSError as exc:  # argparse's help or usage text, where argparse lets it raise
+    except OSError as exc:  # _Help's text, or argparse's usage text where it lets a write raise
         code, error = 2, f"config error: cannot write help or usage text: {exc}"
     except ConfigError as exc:
         code, error = 2, f"config error: {exc}"

@@ -23,13 +23,16 @@ all nonzero.  ``_v_checked`` is the one place that rule is tested:
 ``x_closed`` and ``x_closed_all``, the a = -1 power form included, read
 their prefactors and block factors from one checked fold.
 
-V values are advanced one coefficient at a time, so x_m costs O(m) field
-operations; a constant a = -1 stream stops at V_2 and costs O(log m).
+Cost: the fold advances V one coefficient at a time, O(m) field operations.
+The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
+coefficient denominators its two factors share while they are small, and
+multiplied in a balanced tree, so the two operands of every multiplication
+(and of the gcds a ``Fraction`` takes in it) are of about the same size.  A
+constant a = -1 stream stops at V_2 and costs O(log m).
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import List
 
 from ratrec.core import (
@@ -89,9 +92,21 @@ def branch(coeffs: CoefficientStream) -> str:
     return BRANCH_ANEG1 if a == -1 else BRANCH_ANEQ1
 
 
+def _balanced_product(factors: List[Rational]) -> Rational:
+    """The product of a non-empty list, taken as the product of its two
+    halves, so that the operands of every multiplication are about the same
+    size and Karatsuba multiplication does the work."""
+    if len(factors) == 1:
+        return factors[0]
+    half = len(factors) // 2
+    return _balanced_product(factors[:half]) * _balanced_product(factors[half:])
+
+
 def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Rational:
     """x_m from the six-residue-class closed form, exactly: the prefactor
-    times the class-j slice of one checked V fold.
+    times the n block ratios V_{6s+j}/V_{6s+j+3} of one checked V fold, in
+    O(m) field operations for the fold and a balanced product tree over
+    the ratios.  At n = 0 the product is the prefactor alone.
 
     A constant a = -1 stream has V_{t+2} = -(-V_t + b) + b = V_t, so every
     block factor V_{6s+j}/V_{6s+j+3} is (V_1/V_0)^{+-1}: the fold stops at
@@ -104,7 +119,8 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
         vs = _v_checked(ic, coeffs, 2)
         return _prefactor(j, ic, vs) * (vs[1] / vs[0]) ** (n if j % 2 == 1 else -n)
     vs = _v_checked(ic, coeffs, max(m, 0))
-    return _prefactor(j, ic, vs) * prod(vs[j:6 * n:6]) / prod(vs[j + 3:6 * n + 3:6])
+    return _balanced_product([_prefactor(j, ic, vs)]
+                             + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
 
 
 def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,

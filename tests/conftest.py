@@ -83,6 +83,12 @@ class GF:
     __radd__, __rmul__ = __add__, __mul__
 
 
+def to_gf(ic, stream):
+    """The same instance over GF(p), built with the raw constructors."""
+    return (InitialConditions(*map(GF, ic.as_tuple())),
+            CoefficientStream(stream.kind, tuple((GF(a), GF(b)) for a, b in stream.pairs)))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260826)

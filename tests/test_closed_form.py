@@ -13,7 +13,7 @@ from ratrec.closed_form import (
 from ratrec.core import CoefficientStream, InitialConditions, decompose_index
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
-from tests.conftest import rand_seeds, rand_stream
+from tests.conftest import GF, rand_seeds, rand_stream, to_gf
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -120,6 +120,42 @@ class TestXClosed:
                         continue
                     assert (literal_t(stream, w, 6 * s + j)
                             / literal_t(stream, w, 6 * s + j + 3)) == lo / hi
+
+
+class TestBlockProductTree:
+    """``x_closed`` multiplies the prefactor and its n block ratios in a
+    balanced tree; deep indices reach several levels of it, with an odd
+    number of factors at some."""
+
+    def test_every_residue_near_300(self, rng):
+        while True:
+            ic = rand_seeds(rng)
+            stream = rand_stream(rng, 306, kinds=("periodic", "list"))
+            traj = iterate(ic, stream, 305)
+            if traj.is_regular and all(v != 0 for v in traj.values):
+                break
+        ms = range(300, 306)
+        assert sorted(decompose_index(m)[1] for m in ms) == list(range(6))
+        for m in ms:
+            assert x_closed(ic, stream, m) == traj.x(m)
+
+    def test_gf_matches_batch_to_600(self, rng):
+        ic, stream = to_gf(rand_seeds(rng), rand_stream(rng, 601, kinds=("periodic", "list")))
+        batch = x_closed_all(ic, stream, 600)
+        for m in range(-3, 601):
+            got = x_closed(ic, stream, m)
+            assert type(got) is GF and got == batch[m + 3]
+
+    @pytest.mark.parametrize("scalar", [Fraction, GF])
+    def test_block_zero_is_the_prefactor(self, scalar):
+        # w = 14, V_1 = 2/14 + 1 = 8/7, V_2 = 3 * 8/7 - 1 = 17/7: n = 0 for
+        # m = -3..2, so x_m is the seed, then x_1 = 1/(x_{-2} V_1), x_2 = 1/(x_{-1} V_2)
+        ic = InitialConditions(*map(scalar, (2, 3, 5, 7)))
+        stream = CoefficientStream("periodic", ((scalar(2), scalar(1)), (scalar(3), scalar(-1))))
+        want = (2, 3, 5, 7, Fraction(7, 24), Fraction(7, 85))
+        for m, value in zip(range(-3, 3), want):
+            got = x_closed(ic, stream, m)
+            assert type(got) is scalar and got == scalar(value)
 
 
 class TestXClosedAll:

@@ -73,8 +73,10 @@ class TestCoefficientStream:
     def test_explicit_horizon(self):
         s = CoefficientStream.explicit([(1, 0)] * 4)
         assert s.at(3) == (Fraction(1), Fraction(0))
-        with pytest.raises(HorizonError):
-            s.at(7)
+        # the first index past the last pair, and one further on
+        for n in (4, 7):
+            with pytest.raises(HorizonError):
+                s.at(n)
 
     def test_negative_index(self):
         with pytest.raises(IndexError):

@@ -19,17 +19,11 @@ from ratrec.closed_form import (
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate, v_sequence
 from ratrec.reduced import v_closed_constant, v_values
-from tests.conftest import GF, fold_v, rand_seeds, rand_stream
+from tests.conftest import GF, fold_v, rand_seeds, rand_stream, to_gf
 from tests.test_closed_form import small_pair, small_rational
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 HORIZON = 24
-
-
-def to_gf(ic, stream):
-    """The same instance over GF(p), built with the raw constructors."""
-    return (InitialConditions(*map(GF, ic.as_tuple())),
-            CoefficientStream(stream.kind, tuple((GF(a), GF(b)) for a, b in stream.pairs)))
 
 
 def outcome(fn, *args):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratrec import reduced
+from ratrec import reduced, verify
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.verify import _Skip, check_instance, run_verification
@@ -44,6 +44,30 @@ class TestWitness:
         assert w is not None and w.index == k + 1
         assert w.expected == traj.x(w.index)
         assert w.got != w.expected
+
+    @pytest.mark.parametrize("entry_point", ["x_closed_all", "x_closed"])
+    def test_fault_at_the_horizon(self, monkeypatch, entry_point):
+        # one closed-form entry point off by 1 at x_horizon only: the last
+        # index of the identity loop, and the last spot check
+        horizon = 10
+        true_fn = getattr(verify, entry_point)
+        if entry_point == "x_closed_all":
+            def corrupt(ic, stream, h):
+                return [x + (m == horizon) for m, x in enumerate(true_fn(ic, stream, h), -3)]
+        else:
+            def corrupt(ic, stream, m):
+                return true_fn(ic, stream, m) + (m == horizon)
+        monkeypatch.setattr(verify, entry_point, corrupt)
+        traj = iterate(ONES, UNIT_STREAM, horizon)
+        w = check_instance(ONES, UNIT_STREAM, horizon)
+        assert w is not None and w.index == horizon
+        assert w.expected == traj.x(horizon)
+        assert w.got == traj.x(horizon) + 1
+
+
+def test_one_trial():
+    report = run_verification(trials=1, horizon=7, seed=3)
+    assert report.trials_run + report.trials_skipped == 1
 
 
 @pytest.mark.parametrize("horizon", [0, 7, 40])
