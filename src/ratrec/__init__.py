@@ -20,9 +20,8 @@ from ratrec.engine import (
     SingularityError,
     step,
     iterate,
-    v_sequence,
 )
-from ratrec.reduced import v_step, v_values, v_closed_constant
+from ratrec.reduced import v_step, v_values
 from ratrec.closed_form import x_closed, x_closed_constant
 
 __all__ = [
@@ -37,10 +36,8 @@ __all__ = [
     "SingularityError",
     "step",
     "iterate",
-    "v_sequence",
     "v_step",
     "v_values",
-    "v_closed_constant",
     "x_closed",
     "x_closed_constant",
 ]

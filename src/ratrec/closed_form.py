@@ -129,11 +129,12 @@ def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
 
     Uses the residue-class recursion R(t) = R(t-6) * V(t-6) / V(t-3) on
     u-indices t, seeded by the six prefactors; equal value-for-value to
-    calling ``x_closed`` per index.
+    calling ``x_closed`` per index.  ``horizon`` must be >= 0, as in
+    ``engine.iterate``.
     """
-    if horizon < -3:
-        raise ValueError(f"horizon must be >= -3, got {horizon}")
-    vs = _v_checked(ic, coeffs, max(horizon, 0))
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    vs = _v_checked(ic, coeffs, horizon)
     out: List[Rational] = []
     for t in range(horizon + 4):
         out.append(_prefactor(t, ic, vs) if t < 6

@@ -3,8 +3,9 @@
 Exact values are ``fractions.Fraction`` (aliased ``Rational``), made only
 at the boundary: ``parse_rational``, ``InitialConditions.of``, the
 ``CoefficientStream`` classmethods, the verify sampler and the bare-scalar
-entry points.  Kernels never coerce: they run on any field scalar with
-+ - * /, ** and == 0, which the raw dataclass constructors pass through.
+entry point ``x_closed_constant``.  Kernels never coerce: they run on any
+field scalar with + - * /, ** and == 0, which the raw dataclass
+constructors pass through.
 Rational literals are "p/q" or integer strings; decimals are rejected on
 purpose, since a decimal string is ambiguous as an exact value.
 
@@ -157,7 +158,3 @@ class Trajectory:
         if m < -3 or m > self.last_index:
             raise IndexError(f"x-index {m} outside computed range [-3, {self.last_index}]")
         return self.values[m + 3]
-
-    def u(self, k: int) -> Rational:
-        """Value at u-index k (u_k = x_{k-3})."""
-        return self.x(k - 3)

@@ -8,6 +8,8 @@ The denominator can vanish in two distinct ways and we keep them apart:
 ``zero-x-factor`` (x_{n-2} = 0, the forbidden-set flavour) and
 ``zero-bracket`` (a_n + b_n x_{n-3} x_n = 0, a dynamical collision).
 Singularity is sticky: no values are produced past the first failure.
+The reduced values V_n = 1/(x_{n-3} x_n) are folded by ``reduced``, not
+read off a trajectory: the iteration stays the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class SingularityError(ZeroDivisionError):
     def __init__(self, report: SingularReport):
         super().__init__(f"singular at step {report.step}: {report.cause}")
         self.report = report
-
-
-class UndefinedVError(ZeroDivisionError):
-    """V_k = 1/(x_{k-3} x_k) requested with a zero factor."""
 
 
 def step(x_nm3: Rational, x_nm2: Rational, x_n: Rational,
@@ -69,16 +67,3 @@ def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> T
         values.append(nxt)
     return Trajectory(values=tuple(values))
 
-
-def v_sequence(traj: Trajectory) -> List[Rational]:
-    """Reduced values V_k = 1/(x_{k-3} x_k) for k = 0..last index.
-
-    Raises UndefinedVError if any required trajectory value is zero.
-    """
-    out: List[Rational] = []
-    for k in range(traj.last_index + 1):
-        lo, hi = traj.x(k - 3), traj.x(k)
-        if lo == 0 or hi == 0:
-            raise UndefinedVError(f"V_{k} undefined: zero trajectory value")
-        out.append(1 / (lo * hi))
-    return out

@@ -1,4 +1,4 @@
-"""Floating-point verification of the symmetry machinery.
+"""Floating-point residuals of the symmetry condition.
 
 The u-form of the recurrence is
 
@@ -6,15 +6,13 @@ The u-form of the recurrence is
 
 and its linear characteristics are xi(n, u) = g(n) u with g among
 (-1)^n, gamma^n, conj(gamma)^n for gamma = exp(i pi/3).  This module
-evaluates the linearized-symmetry-condition residual for any such g,
-the final constraint g(n) + g(n+3) = 0, the canonical coordinate
-S_n = gamma^{-n} ln|u_n|, the invariant V-tilde, the H(n,k) = gamma^n
-conj(gamma)^k kernel with its integer weight trichotomy, and log-space
-reconstruction of |u_{6n+j}| from |V_k| values.
+evaluates the linearized-symmetry-condition residual for any such g at
+free sample points, for the ``symmetry`` and ``verify`` modes.  The rest
+of the reduction (canonical coordinate, invariant, weighted product) is
+exact algebra: the closed form computes it and the tests check it exactly.
 
-Powers of gamma come from a 6-entry (cos, sin) table at multiples of
-pi/3, never from repeated complex multiplication, so the periodicity
-identities hold to the rounding of the table entries.
+Powers of gamma come from a 6-entry (cos, sin) table at multiples of pi/3,
+so gamma^{n+6} = gamma^n and gamma^{n+3} = -gamma^n hold exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from ratrec.core import Trajectory
-from ratrec.engine import step, v_sequence
+from ratrec.engine import step
 
 _HALF_ROOT3 = math.sqrt(3.0) / 2.0
 
@@ -89,91 +86,6 @@ def symmetry_residual(char: Characteristic, n: int,
         + u_n * u_n3 * char.xi(n + 1, u_n1) / (u_n1 ** 2 * bracket)
         - a_n * u_n3 * char.xi(n, u_n) / (u_n1 * bracket ** 2)
     )
-
-
-def constraint_residual(char: Characteristic, n: int) -> complex:
-    """g(n) + g(n+3); zero for every admissible characteristic."""
-    return char.g(n) + char.g(n + 3)
-
-
-def canonical_coordinate(n: int, u_n: float) -> complex:
-    """S_n = gamma^{-n} ln|u_n|."""
-    if u_n == 0:
-        raise ZeroDivisionError("canonical coordinate needs u_n != 0")
-    return gamma_power(-n) * math.log(abs(u_n))
-
-
-def invariant_check(traj: Trajectory, n: int):
-    """V-tilde_n = gamma^n S_n + gamma^{n+3} S_{n+3} and the defect
-    |exp(-V-tilde_n) - |V_n|| against the exact engine value.
-
-    Returns (tilde_v, defect).  tilde_v should be real to rounding.
-    """
-    u_n = float(traj.u(n))
-    u_n3 = float(traj.u(n + 3))
-    tilde_v = (gamma_power(n) * canonical_coordinate(n, u_n)
-               + gamma_power(n + 3) * canonical_coordinate(n + 3, u_n3))
-    v_exact = v_sequence(traj)[n]
-    defect = abs(math.exp(-tilde_v.real) - abs(float(v_exact)))
-    return tilde_v, defect
-
-
-def weight(d: int) -> int:
-    """Integer value of (1/3)[(-1)^d + 2 cos(d pi/3)]: the trichotomy
-    +1 (d = 0 mod 6), -1 (d = 3 mod 6), 0 otherwise."""
-    r = d % 6
-    if r == 0:
-        return 1
-    if r == 3:
-        return -1
-    return 0
-
-
-def weight_float(d: int) -> float:
-    """The same weight evaluated by the defining float formula."""
-    return ((-1.0) ** (d % 2) + 2.0 * gamma_power(d).real) / 3.0
-
-
-def hh(n: int, k: int) -> complex:
-    """The kernel gamma^n conj(gamma)^k."""
-    return gamma_power(n) * gamma_power(k).conjugate()
-
-
-def h_factor(j: int, traj: Trajectory) -> float:
-    """exp(H_j): |u_j| for j = 0..2, |V_{j-3}| |u_j| for j = 3..5."""
-    if not (0 <= j <= 5):
-        raise ValueError(f"residue j must be in 0..5, got {j}")
-    u_j = abs(float(traj.u(j)))
-    if u_j == 0:
-        raise ZeroDivisionError("h_factor needs nonzero u_j")
-    if j <= 2:
-        return u_j
-    v = v_sequence(traj)[j - 3]
-    return abs(float(v)) * u_j
-
-
-def log_reconstruct(j: int, n: int, traj: Trajectory) -> float:
-    """Reconstruct |u_{6n+j}| = |x_{6n+j-3}| from the weighted log sum
-
-        exp{ H_j + sum_{k=0}^{6n+j-1} weight(j-k) ln|V_k| }.
-
-    (weight(j-k) collapses the sum to the telescoping pairs
-    ln|V_{6s+j}| - ln|V_{6s+j+3}|.)
-    """
-    if not (0 <= j <= 5):
-        raise ValueError(f"residue j must be in 0..5, got {j}")
-    if n < 0:
-        raise ValueError(f"block number n must be >= 0, got {n}")
-    top = 6 * n + j
-    vs = v_sequence(traj)
-    if top - 1 >= len(vs):
-        raise IndexError("trajectory too short for requested reconstruction")
-    acc = 0.0
-    for k in range(top):
-        wgt = weight(j - k)
-        if wgt:
-            acc += wgt * math.log(abs(float(vs[k])))
-    return h_factor(j, traj) * math.exp(acc)
 
 
 def random_samples(rng: random.Random, count: int) -> List[tuple]:

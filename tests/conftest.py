@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -52,6 +53,51 @@ def fold_v(v0, stream, n):
         a, b = stream.at(k)
         v = a * v + b
     return v
+
+
+def v_from(traj, k):
+    """V_k = 1/(x_{k-3} x_k), read off a trajectory."""
+    return 1 / (traj.x(k - 3) * traj.x(k))
+
+
+def v_closed_constant(v0, a, b, n):
+    """V_n for constant (a, b): v0 + n b at a = 1, else the geometric sum
+    v0 a^n + b (1 - a^n) / (1 - a)."""
+    v0, a, b = Fraction(v0), Fraction(a), Fraction(b)
+    if a == 1:
+        return v0 + n * b
+    return v0 * a ** n + b * (1 - a ** n) / (1 - a)
+
+
+def weight(d):
+    """The paper's weight (1/3)[(-1)^d + 2 cos(d pi/3)] as an integer table:
+    +1 at d = 0 and -1 at d = 3 (mod 6), else 0."""
+    return {0: 1, 3: -1}.get(d % 6, 0)
+
+
+def weighted_product(traj, m):
+    """x_m, m = 6n + j - 3, as the paper's H_j prod_{k<6n+j} V_k^weight(j-k),
+    with H_j = u_j for j <= 2 and 1/u_{j-3} for j >= 3 (u_k = x_{k-3})."""
+    n, j = divmod(m + 3, 6)
+    h = traj.x(j - 3) if j <= 2 else 1 / traj.x(j - 6)
+    return h * prod(v_from(traj, k) ** weight(j - k)
+                    for k in range(6 * n + j) if weight(j - k))
+
+
+def q_mul(x, y):
+    """(p + q r)(p' + q' r) in Q(r), r = sqrt(-3), on pairs (p, q)."""
+    return x[0] * y[0] - 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def gamma_pow(d):
+    """gamma^d for gamma = exp(i pi/3) = (1 + sqrt(-3))/2, as the pair of
+    Fractions (p, q) of p + q sqrt(-3), by exact repeated multiplication
+    (gamma^-1 is conj(gamma))."""
+    g = (Fraction(1, 2), Fraction(1 if d >= 0 else -1, 2))
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(d)):
+        out = q_mul(out, g)
+    return out
 
 
 class GF:

@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -170,7 +171,10 @@ class TestXClosedAll:
                 assert batch[m + 3] == x_closed(ic, stream, m)
 
     def test_short_horizons(self):
-        assert x_closed_all(ONES, UNIT_STREAM, -3) == [Fraction(1)]
+        # horizon >= 0, as in iterate: the seeds alone are x_closed_all(..., 0)
+        with pytest.raises(ValueError):
+            x_closed_all(ONES, UNIT_STREAM, -1)
+        assert x_closed_all(ONES, UNIT_STREAM, 0) == [Fraction(1)] * 4
         assert x_closed_all(ONES, UNIT_STREAM, 3)[-1] == Fraction(1, 4)
 
 
@@ -281,7 +285,9 @@ class TestOneFold:
 
     @pytest.mark.parametrize("horizon", [-3, 0, 1, 2, 30])
     def test_x_closed_all(self, steps, horizon):
-        x_closed_all(ONES, self.STREAM, horizon)
+        # a negative horizon is refused before the fold takes a step
+        with pytest.raises(ValueError) if horizon < 0 else nullcontext():
+            x_closed_all(ONES, self.STREAM, horizon)
         assert len(steps) == max(horizon, 0)
 
     def test_a_neg1_power_form(self, steps):
@@ -324,7 +330,8 @@ class TestDomain:
             for m in range(-3, horizon + 1):
                 if iterate(ic, stream, max(m, 0)).is_regular:
                     assert x_closed(ic, stream, m) == traj.x(m)
-                    assert x_closed_all(ic, stream, m) == list(traj.values[:m + 4])
+                    if m >= 0:
+                        assert x_closed_all(ic, stream, m) == list(traj.values[:m + 4])
                 else:
                     with pytest.raises(SingularClosedFormError):
                         x_closed(ic, stream, m)

@@ -2,17 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from ratrec.closed_form import ZeroInitialError, x_closed
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import (
     ZERO_BRACKET,
     ZERO_X_FACTOR,
     SingularityError,
-    UndefinedVError,
     iterate,
     step,
-    v_sequence,
 )
-from tests.conftest import rand_seeds, rand_stream
+from tests.conftest import rand_seeds, rand_stream, v_from
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 
@@ -88,19 +87,24 @@ class TestDetectSingularity:
 
 
 class TestVSequence:
+    """V_k = 1/(x_{k-3} x_k) read off iterated trajectories (``v_from``)."""
+
     def test_fixed_point_all_ones(self):
         traj = iterate(ONES, CoefficientStream.constant(1, 0), 10)
-        assert v_sequence(traj) == [Fraction(1)] * 11
+        assert [v_from(traj, k) for k in range(11)] == [1] * 11
 
     def test_worked_values(self):
         traj = iterate(ONES, CoefficientStream.constant(1, 1), 3)
-        vs = v_sequence(traj)
-        assert vs[0] == 1 and vs[1] == 2 and vs[2] == 3
+        assert [v_from(traj, k) for k in range(4)] == [1, 2, 3, 4]
 
     def test_zero_value_rejected(self):
-        traj = iterate(InitialConditions.of(1, 1, 1, 0), CoefficientStream.constant(1, 0), 0)
-        with pytest.raises(UndefinedVError):
-            v_sequence(traj)
+        # a zero seed leaves V_0 = 1/(x_{-3} x_0) undefined, and the closed
+        # form, which folds V from V_0, refuses
+        ic, stream = InitialConditions.of(1, 1, 1, 0), CoefficientStream.constant(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            v_from(iterate(ic, stream, 0), 0)
+        with pytest.raises(ZeroInitialError):
+            x_closed(ic, stream, 0)
 
     def test_reduction_identity_randomized(self, rng):
         # V_{k+1} = a_k V_k + b_k exactly on every regular trajectory
@@ -110,7 +114,7 @@ class TestVSequence:
             traj = iterate(ic, stream, 40)
             if not traj.is_regular or any(v == 0 for v in traj.values):
                 continue
-            vs = v_sequence(traj)
+            vs = [v_from(traj, k) for k in range(41)]
             for k in range(len(vs) - 1):
                 a_k, b_k = stream.at(k)
                 assert vs[k + 1] == a_k * vs[k] + b_k

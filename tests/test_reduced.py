@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratrec.core import CoefficientStream
-from ratrec.reduced import v_closed_constant, v_step, v_values
-from tests.conftest import fold_v, literal_v_closed, rand_stream
+from ratrec.reduced import v_step, v_values
+from tests.conftest import fold_v, literal_v_closed, rand_stream, v_closed_constant
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9)
@@ -68,21 +68,28 @@ class TestVClosed:
                 assert list(v_values(v0, stream, 30))[-1] == v0 * prod
 
 
+def folded(v0, a, b, n):
+    """V_n from ``v_values`` on the constant stream (a, b)."""
+    return list(v_values(Fraction(v0), CoefficientStream.constant(a, b), n))[-1]
+
+
 class TestVClosedConstant:
+    """Constant streams fold through the general kernel; the geometric sum
+    (conftest's ``v_closed_constant``) is the oracle."""
+
     def test_a_one(self):
-        assert v_closed_constant(Fraction(1), Fraction(1), Fraction(1), 10) == 11
+        assert folded(1, 1, 1, 10) == v_closed_constant(1, 1, 1, 10) == 11
 
     def test_a_two(self):
         # fold 1 -> 3 -> 7 -> 15
-        assert v_closed_constant(Fraction(1), Fraction(2), Fraction(1), 3) == 15
+        assert folded(1, 2, 1, 3) == v_closed_constant(1, 2, 1, 3) == 15
 
     def test_a_minus_one(self):
         # fold 1 -> 2 -> 1
-        assert v_closed_constant(Fraction(1), Fraction(-1), Fraction(3), 2) == 1
+        assert folded(1, -1, 3, 2) == v_closed_constant(1, -1, 3, 2) == 1
 
     @given(small_rationals, small_rationals, small_rationals,
            st.integers(min_value=0, max_value=60))
     @settings(max_examples=200)
     def test_agrees_with_general(self, v0, a, b, n):
-        stream = CoefficientStream.constant(a, b)
-        assert v_closed_constant(v0, a, b, n) == list(v_values(v0, stream, n))[-1]
+        assert v_closed_constant(v0, a, b, n) == folded(v0, a, b, n)

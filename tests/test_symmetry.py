@@ -3,23 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from ratrec.closed_form import x_closed
 from ratrec.core import CoefficientStream, InitialConditions
-from ratrec.engine import iterate, step, v_sequence
+from ratrec.engine import iterate, step
 from ratrec import symmetry
 from ratrec.symmetry import (
     Characteristic,
     ConditioningError,
-    canonical_coordinate,
-    constraint_residual,
     gamma_power,
-    h_factor,
-    hh,
-    invariant_check,
-    log_reconstruct,
     symmetry_residual,
-    weight,
-    weight_float,
 )
+from tests.conftest import v_from, weight, weighted_product
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -92,62 +86,59 @@ class TestSymmetryResidual:
 
 
 class TestConstraintResidual:
+    """The final constraint g(n) + g(n+3) = 0 holds exactly on the gamma table."""
+
     def test_all_builtins(self):
         for char in symmetry.builtin_characteristics():
             for n in range(48):
-                tol = 0 if char.label == "alternating" else TABLE_TOL
-                assert abs(constraint_residual(char, n)) <= tol
+                assert char.g(n) + char.g(n + 3) == 0
 
     def test_control(self):
         control = Characteristic(lambda n: complex(1.0, 0.0), "g1")
-        assert constraint_residual(control, 11) == 2
-
-
-class TestCanonicalCoordinate:
-    def test_log_one_is_zero(self):
-        assert canonical_coordinate(17, 1.0) == 0
-
-    def test_n_zero(self):
-        assert canonical_coordinate(0, math.e) == pytest.approx(1.0)
-
-    def test_n_three_flips_sign(self):
-        assert canonical_coordinate(3, math.e) == pytest.approx(-1.0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            canonical_coordinate(0, 0.0)
+        assert control.g(11) + control.g(14) == 2
 
 
 class TestInvariantCheck:
+    """The invariant exp(-V-tilde_n) = 1/|u_n u_{n+3}| is |V_n|; exactly, V_n
+    is unchanged by every admissible scaling of a trajectory."""
+
     def test_all_ones(self):
         traj = iterate(ONES, CoefficientStream.constant(1, 0), 10)
-        tilde_v, defect = invariant_check(traj, 2)
-        assert abs(tilde_v) <= IDENT_TOL and defect <= IDENT_TOL
+        assert v_from(traj, 2) == 1
 
     def test_worked_value(self):
         traj = iterate(ONES, UNIT_STREAM, 10)
-        tilde_v, defect = invariant_check(traj, 1)
         # V_1 = 1/(x_{-2} x_1) = 2
-        assert math.exp(-tilde_v.real) == pytest.approx(2.0, abs=IDENT_TOL)
-        assert defect <= IDENT_TOL
+        assert v_from(traj, 1) == 2
 
     def test_positive_trajectory_sweep(self):
-        traj = iterate(InitialConditions.of(2, Fraction(1, 2), 3, Fraction(3, 4)),
-                       UNIT_STREAM, 53)
-        for n in range(0, 50, 7):
-            tilde_v, defect = invariant_check(traj, n)
-            assert abs(tilde_v.imag) <= IDENT_TOL
-            assert defect <= IDENT_TOL
+        # u_k -> 2^g(k) u_k with g(k) = 2 cos(k pi/3), so g(k) + g(k+3) = 0
+        seeds = (2, Fraction(1, 2), 3, Fraction(3, 4))
+        traj = iterate(InitialConditions.of(*seeds), UNIT_STREAM, 53)
+        scaled = iterate(InitialConditions.of(
+            *(v * Fraction(2) ** g for v, g in zip(seeds, (2, 1, -1, -2)))), UNIT_STREAM, 53)
+        assert scaled.values != traj.values
+        for n in range(54):
+            assert v_from(scaled, n) == v_from(traj, n)
 
 
 class TestWeight:
+    """(1/3)[(-1)^d + 2 Re gamma^d] on the gamma table is the integer weight,
+    exactly: the table's real parts are +-1 and +-1/2."""
+
     @pytest.mark.parametrize("d,want", [(0, 1), (3, -1), (4, 0), (1, 0), (2, 0), (5, 0)])
     def test_trichotomy(self, d, want):
         assert weight(d) == want
+        assert 3 * want == (-1) ** d + 2 * gamma_power(d).real
 
     def test_matches_float_formula(self):
         for d in range(-48, 49):
-            assert abs(weight(d) - weight_float(d)) <= TABLE_TOL
+            assert 3 * weight(d) == (-1) ** (d % 2) + 2 * gamma_power(d).real
+
+
+def hh(n, k):
+    """The kernel gamma^n conj(gamma)^k on the gamma table."""
+    return gamma_power(n) * gamma_power(k).conjugate()
 
 
 class TestHH:
@@ -158,60 +149,55 @@ class TestHH:
     def test_periodicities(self):
         for n in range(24):
             for k in range(24):
-                assert abs(hh(n + 6, k) - hh(n, k)) <= TABLE_TOL
-                assert abs(hh(n + 3, k) + hh(n, k)) <= TABLE_TOL
-                assert abs(hh(n, k + 3) + hh(n, k)) <= TABLE_TOL
+                assert hh(n + 6, k) == hh(n, k)
+                assert hh(n + 3, k) == -hh(n, k)
+                assert hh(n, k + 3) == -hh(n, k)
 
 
 class TestHFactor:
+    """H_j is the n = 0 case of the weighted product: x_{j-3} itself."""
+
     def test_seed_magnitude(self):
         traj = iterate(InitialConditions.of(5, 1, 1, 1), UNIT_STREAM, 6)
-        assert h_factor(0, traj) == pytest.approx(5.0)
+        assert weighted_product(traj, -3) == 5
 
     def test_all_ones_j3(self):
         traj = iterate(ONES, CoefficientStream.constant(1, 0), 6)
-        assert h_factor(3, traj) == pytest.approx(1.0)
+        assert weighted_product(traj, 0) == 1
 
     def test_unit_case_j4(self):
         traj = iterate(ONES, UNIT_STREAM, 6)
-        # |V_1| |x_1| = 2 * 1/2
-        assert h_factor(4, traj) == pytest.approx(1.0)
+        # H_4 / V_1 = (1/x_{-2}) / 2 = x_1
+        assert weighted_product(traj, 1) == x_closed(ONES, UNIT_STREAM, 1) == Fraction(1, 2)
 
 
 class TestLogReconstruct:
+    """x_m = H_j prod_{k<6n+j} V_k^weight(j-k), m = 6n+j-3, exactly and
+    with its sign."""
+
     def test_base_case(self):
         traj = iterate(InitialConditions.of(Fraction(-7, 2), 1, 1, 1), UNIT_STREAM, 6)
-        assert log_reconstruct(0, 0, traj) == pytest.approx(3.5)
+        assert weighted_product(traj, -3) == Fraction(-7, 2)
 
     def test_unit_case(self):
         traj = iterate(ONES, UNIT_STREAM, 10)
-        assert log_reconstruct(0, 1, traj) == pytest.approx(0.25, rel=1e-9)
+        assert weighted_product(traj, 3) == Fraction(1, 4)
 
     def test_weight_sum_telescopes(self):
-        # direct weighted sum equals the telescoping pairs, up to the extra
-        # -ln|V_{j-3}| term for j >= 3 that the H factor cancels
+        # the weighted product is the closed form's block product: the pairs
+        # V_{6s+j}/V_{6s+j+3}, and 1/V_{j-3} for j >= 3, which H_j cancels
         traj = iterate(ONES, UNIT_STREAM, 60)
-        vs = [abs(float(v)) for v in v_sequence(traj)]
         for j in range(6):
             for n in (1, 3, 8):
-                top = 6 * n + j
-                if top - 1 >= len(vs):
-                    continue
-                direct = sum(weight(j - k) * math.log(vs[k]) for k in range(top))
-                paired = sum(math.log(vs[6 * s + j]) - math.log(vs[6 * s + j + 3])
-                             for s in range(n))
+                direct = math.prod(v_from(traj, k) ** weight(j - k) for k in range(6 * n + j))
+                paired = math.prod(v_from(traj, 6 * s + j) / v_from(traj, 6 * s + j + 3)
+                                   for s in range(n))
                 if j >= 3:
-                    paired -= math.log(vs[j - 3])
-                assert direct == pytest.approx(paired, abs=1e-9)
+                    paired /= v_from(traj, j - 3)
+                assert direct == paired
 
     def test_long_horizon_well_conditioned(self):
-        traj = iterate(InitialConditions.of(2, Fraction(1, 2), 3, Fraction(3, 4)),
-                       UNIT_STREAM, 120)
-        for j in range(6):
-            for n in range(0, 20, 3):
-                m = 6 * n + j - 3
-                if m > 117:
-                    continue
-                want = abs(float(traj.x(m)))
-                got = log_reconstruct(j, n, traj)
-                assert got == pytest.approx(want, rel=1e-9)
+        ic = InitialConditions.of(2, Fraction(1, 2), 3, Fraction(3, 4))
+        traj = iterate(ic, UNIT_STREAM, 120)
+        for m in range(-3, 118):
+            assert weighted_product(traj, m) == traj.x(m) == x_closed(ic, UNIT_STREAM, m)

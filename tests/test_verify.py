@@ -1,5 +1,6 @@
 """Library contract of ``ratrec.verify``: skips, witnesses and report counts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,3 +79,34 @@ def test_report_counts(horizon):
     # every run trial checks x_{-3}..x_horizon
     assert report.indices_checked == report.trials_run * (horizon + 4)
     assert report.all_exact_match and report.witness is None
+
+
+def test_sampler_draws_are_pinned():
+    # seeds, then a stream (kind initial, then its pairs), as run_verification
+    # draws them from seed 0.  An explicit stream has max(horizon, 1) pairs,
+    # b may be 0, and the sixteenth draw is the first whose period would
+    # change were its range 1..7
+    rng = random.Random(0)
+    draws = []
+    for horizon in (0, 0, 0, 1, 3) + (0,) * 11:
+        ic, stream = verify.random_seeds(rng), verify.random_stream(rng, horizon)
+        draws.append(" ".join(map(str, ic.as_tuple())) + f" {stream.kind[0]} "
+                     + " ".join(f"{a},{b}" for a, b in stream.pairs))
+    assert draws == [
+        "4/7 -8/5 1 4/5 p -1/3,-1 -5/2,-1/9 -1,-3",
+        "1/4 9/2 3/7 1/2 l 7/8,7/5",
+        "-8/9 -9/2 4 7/6 c 1,-3/4",
+        "-2/3 9/8 -7/2 2/9 p 1/9,0",
+        "3/2 9/4 9/5 3 l 2/3,9/4 1/3,-1 -8/5,3",
+        "-7/3 -5 -7/9 4/9 p -1/2,9/7 -1/8,1 -7/6,-3/4 1/2,-2 -1/2,-1/3",
+        "-2/3 5 -2 -2 l 9/2,-9/2",
+        "-3/2 2 3/2 -8 c -2,3/2",
+        "-8 9/7 -6/5 -7/4 c 1/6,4/3",
+        "-8/9 6 -6/7 -3/5 p 7/3,-3 -4/3,1/9 -1/2,5/3 -9/8,4/9 1/6,3/5 -5/9,-9/8",
+        "-7/6 -8/9 -1/3 -1/4 p 1/6,3 1/7,2 -9/4,1/3 -1/2,5/7 5,3/7",
+        "-8/3 3 -1/3 2/3 p -9,1 1/8,-8/7 -1/3,-7/3 -9/7,2/3 -9/4,-9",
+        "4 -3/2 -3/5 -1/3 c 1,-7",
+        "-1/8 -6/5 -5/9 3/2 c -1,-8",
+        "-3/5 3/2 3 7/8 l 5/6,8/3",
+        "-3/7 1 -5/3 -1/6 p -7/6,-8 -1/3,-1 3/7,8/3",
+    ]
