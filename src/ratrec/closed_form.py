@@ -17,11 +17,17 @@ The running index inside the block product is s; the published bounds read
 telescoped ratio V_{6s+j}/V_{6s+j+3} forces the s-reading, confirmed
 against the iteration oracle.
 
+``x_closed`` evaluates that block product for one index.  ``x_closed_all``
+needs no block product: V's own definition V_t = 1/(x_{t-3} x_t), inverted,
+is x_t = 1/(x_{t-3} V_t) for every t >= 0, a 3-step recursion from the seeds.
+So the batch values check the V reduction at every index, and only
+``x_closed`` checks the strided product.
+
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are
 all nonzero.  ``_v_checked`` is the one place that rule is tested:
 ``x_closed`` and ``x_closed_all``, the a = -1 power form included, read
-their prefactors and block factors from one checked fold.
+their values from one checked fold.
 
 Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
@@ -75,12 +81,6 @@ def _v_checked(ic: InitialConditions, coeffs: CoefficientStream,
     return vs
 
 
-def _prefactor(j: int, ic: InitialConditions, vs: List[Rational]) -> Rational:
-    """x_{j-3}: the seed for j <= 3, else 1/(x_{j-6} V_{j-3}) from the fold ``vs``."""
-    seeds = ic.as_tuple()
-    return seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
-
-
 def branch(coeffs: CoefficientStream) -> str:
     """The paper's case for a stream: constant a = 1, a = -1 or a != +-1,
     else general.  Only a = -1 has its own path: the power form in ``x_closed``."""
@@ -115,30 +115,30 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
     only the seeds exist.
     """
     n, j = decompose_index(m)
-    if n and branch(coeffs) == BRANCH_ANEG1:
-        vs = _v_checked(ic, coeffs, 2)
-        return _prefactor(j, ic, vs) * (vs[1] / vs[0]) ** (n if j % 2 == 1 else -n)
-    vs = _v_checked(ic, coeffs, max(m, 0))
-    return _balanced_product([_prefactor(j, ic, vs)]
-                             + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
+    power_form = n > 0 and branch(coeffs) == BRANCH_ANEG1
+    vs = _v_checked(ic, coeffs, 2 if power_form else max(m, 0))
+    seeds = ic.as_tuple()
+    # the prefactor x_{j-3}: a seed, or for j = 4, 5 the batch rule at t = j - 3
+    head = seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
+    if power_form:
+        return head * (vs[1] / vs[0]) ** (n if j % 2 == 1 else -n)
+    return _balanced_product([head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
 
 
 def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
                  horizon: int) -> List[Rational]:
-    """All closed-form values x_{-3}..x_{horizon} in O(horizon) operations.
-
-    Uses the residue-class recursion R(t) = R(t-6) * V(t-6) / V(t-3) on
-    u-indices t, seeded by the six prefactors; equal value-for-value to
-    calling ``x_closed`` per index.  ``horizon`` must be >= 0, as in
-    ``engine.iterate``.
+    """All closed-form values x_{-3}..x_{horizon} in O(horizon) operations:
+    x_t = 1/(x_{t-3} V_t) from the seeds, over one checked V fold.  Equal to
+    ``x_closed`` at every index, without forming its block product.
+    ``horizon`` must be >= 0, as in ``engine.iterate``.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     vs = _v_checked(ic, coeffs, horizon)
-    out: List[Rational] = []
-    for t in range(horizon + 4):
-        out.append(_prefactor(t, ic, vs) if t < 6
-                   else out[t - 6] * vs[t - 6] / vs[t - 3])
+    out = list(ic.as_tuple())
+    for t in range(1, horizon + 1):
+        # out[t] is x_{t-3}
+        out.append(1 / (out[t] * vs[t]))
     return out
 
 

@@ -2,8 +2,9 @@
 
 Draws random rational seeds and coefficient streams (numerators from
 [-9, 9] without 0, denominators from [1, 9]), iterates the recurrence
-exactly, and compares the closed form with it at every index (which also
-decides the V-reduction identity), plus a symmetry-residual sweep.
+exactly, and compares the batch closed form with it at every index (which
+decides the V-reduction identity) and the per-index block product at three
+indices, plus a symmetry-residual sweep.
 Instances that hit a singularity are skipped and counted, not failed.
 """
 
@@ -76,9 +77,11 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
                    horizon: int) -> Optional[Witness]:
     """Compare the batch closed form with the iteration at every index.
 
-    ``x_closed_all`` sets x_k = x_{k-6} V_{k-3} / V_k from the fold of
+    ``x_closed_all`` sets x_k = 1/(x_{k-3} V_k) from the fold of
     V_{k+1} = a_k V_k + b_k, so it matches the iteration exactly when every
-    folded V_k is 1/(x_{k-3} x_k): one comparison checks both identities.
+    folded V_k is 1/(x_{k-3} x_k): the loop checks the V reduction at every
+    index.  Only ``x_closed`` forms the paper's strided block product, and
+    it is checked at indices 0, min(7, horizon) and horizon.
     Returns None on agreement, a Witness on the first mismatch; raises _Skip
     unless the iteration is regular and the seeds are nonzero, which puts
     the whole instance inside the closed form's domain.
@@ -90,8 +93,8 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
     for m in range(-3, horizon + 1):
         if closed[m + 3] != traj.x(m):
             return Witness(ic, stream, m, traj.x(m), closed[m + 3])
-    # the per-index entry point shares the formula but not the recursion;
-    # spot-check it against the batch path
+    # the strided block product: spot-check the per-index entry point
+    # against the batch values
     for m in (0, min(7, horizon), horizon):
         got = x_closed(ic, stream, m)
         if got != closed[m + 3]:

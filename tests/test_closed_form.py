@@ -346,3 +346,5 @@ class TestDomain:
         assert not iterate(ONES, stream, 1).is_regular
         with pytest.raises(SingularClosedFormError):
             x_closed(ONES, stream, 2)
+        with pytest.raises(SingularClosedFormError):
+            x_closed_all(ONES, stream, 2)

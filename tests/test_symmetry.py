@@ -9,7 +9,6 @@ from ratrec.engine import iterate, step
 from ratrec import symmetry
 from ratrec.symmetry import (
     Characteristic,
-    ConditioningError,
     gamma_power,
     symmetry_residual,
 )
@@ -79,10 +78,6 @@ class TestSymmetryResidual:
         control = Characteristic(lambda n: complex(1.0, 0.0), "g1")
         worst = max(abs(symmetry_residual(control, *s)) for s in sample_sweep(rng))
         assert worst >= 1e-3
-
-    def test_conditioning_guard(self):
-        with pytest.raises(ConditioningError):
-            symmetry_residual(BUILTIN["alternating"], 0, 1.0, 1e-12, 1.0, 1.0, 1.0)
 
 
 class TestConstraintResidual:

@@ -46,24 +46,30 @@ class TestWitness:
         assert w.expected == traj.x(w.index)
         assert w.got != w.expected
 
-    @pytest.mark.parametrize("entry_point", ["x_closed_all", "x_closed"])
-    def test_fault_at_the_horizon(self, monkeypatch, entry_point):
-        # one closed-form entry point off by 1 at x_horizon only: the last
-        # index of the identity loop, and the last spot check
+    @pytest.mark.parametrize("entry_point, index", [
+        pytest.param("x_closed_all", 10, id="x_closed_all"),
+        pytest.param("x_closed", 10, id="x_closed"),
+        pytest.param("x_closed_all", 7, id="x_closed_all-7"),
+        pytest.param("x_closed", 7, id="x_closed-7"),
+    ])
+    def test_fault_at_the_horizon(self, monkeypatch, entry_point, index):
+        # one closed-form entry point off by 1 at x_index only: at the horizon,
+        # the last index of the identity loop and the last spot check; at 7,
+        # the middle spot check
         horizon = 10
         true_fn = getattr(verify, entry_point)
         if entry_point == "x_closed_all":
             def corrupt(ic, stream, h):
-                return [x + (m == horizon) for m, x in enumerate(true_fn(ic, stream, h), -3)]
+                return [x + (m == index) for m, x in enumerate(true_fn(ic, stream, h), -3)]
         else:
             def corrupt(ic, stream, m):
-                return true_fn(ic, stream, m) + (m == horizon)
+                return true_fn(ic, stream, m) + (m == index)
         monkeypatch.setattr(verify, entry_point, corrupt)
         traj = iterate(ONES, UNIT_STREAM, horizon)
         w = check_instance(ONES, UNIT_STREAM, horizon)
-        assert w is not None and w.index == horizon
-        assert w.expected == traj.x(horizon)
-        assert w.got == traj.x(horizon) + 1
+        assert w is not None and w.index == index
+        assert w.expected == traj.x(index)
+        assert w.got == traj.x(index) + 1
 
 
 def test_one_trial():
