@@ -20,9 +20,9 @@ codes.  A standard error that cannot be written keeps the status.
      output that cannot be written (--out, or stdout, --help's included),
      a key that is unknown, missing or not read by the coefficient kind,
      a rational that is not a "p/q" string, a coefficient pair that is not
-     a JSON array, a scalar of the wrong JSON type (e.g. "horizon": 2.9,
-     true or 1e400), a tolerance that is not finite and >= 0, a negative
-     horizon, fewer than one trial, or closed without an index
+     a JSON array, a setting that is not a JSON integer (e.g. "horizon": 2.9,
+     true or 1e400), a negative horizon, fewer than one trial, or closed
+     without an index
   3  mathematical domain error: a zero seed in the closed form, an index
      at or past the first singular step of the iteration (the first x it
      cannot compute), an index below -3, or an index past a list
@@ -35,7 +35,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import random
 import sys
@@ -66,19 +65,16 @@ class RunConfig:
     index: Optional[int] = None
     trials: int = 100
     seed: int = 0
-    tolerance: float = 1e-10
 
 
-# each scalar setting, from the config or its flag: (type, least value or
-# None, flag help).  The seeds cover x_{-3}..x_0, so horizon >= 0; an empty
-# run checks nothing, so trials >= 1; a NaN, infinite or negative tolerance
-# fixes every verdict whatever the residuals.
+# each integer setting, from the config or its flag: (least value or None,
+# flag help).  The seeds cover x_{-3}..x_0, so horizon >= 0; an empty run
+# checks nothing, so trials >= 1.
 _SETTINGS = {
-    "index": (int, None, "target index m (closed mode)"),
-    "horizon": (int, 0, "last index to compute/verify"),
-    "trials": (int, 1, "trial/sample count"),
-    "seed": (int, None, "RNG seed"),
-    "tolerance": (float, 0, "residual tolerance"),
+    "index": (None, "target index m (closed mode)"),
+    "horizon": (0, "last index to compute/verify"),
+    "trials": (1, "trial/sample count"),
+    "seed": (None, "RNG seed"),
 }
 _TOP_KEYS = {"initial", "coefficients", *_SETTINGS}
 _INITIAL_KEYS = {"x_m3", "x_m2", "x_m1", "x_0"}
@@ -133,20 +129,16 @@ def parse_config(raw: dict, **flags) -> RunConfig:
         raise ConfigError(f"bad coefficients: {exc}")
 
     cfg = RunConfig(initial=ic, coefficients=stream)
-    for key, (cast, least, _) in _SETTINGS.items():
+    for key, (least, _) in _SETTINGS.items():
         # the config value, then the keyword: each is type-checked, the last one kept
         for value in [source[key] for source in (raw, flags) if key in source]:
             # bool is an int subclass, and int() would truncate 2.9 or read "5"
-            if isinstance(value, bool) or not isinstance(value, (int, cast)):
-                expected = "integer" if cast is int else "number"
-                raise ConfigError(f"bad {key}: expected a JSON {expected}, got {value!r}")
-            try:
-                setattr(cfg, key, cast(value))
-            except OverflowError as exc:
-                raise ConfigError(f"bad {key}: {exc}")
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"bad {key}: expected a JSON integer, got {value!r}")
+            setattr(cfg, key, value)
         value = getattr(cfg, key)
-        if least is not None and not least <= value < math.inf:
-            raise ConfigError(f"bad {key}: expected a finite number >= {least}, got {value}")
+        if least is not None and value < least:
+            raise ConfigError(f"bad {key}: expected an integer >= {least}, got {value}")
     return cfg
 
 
@@ -210,7 +202,7 @@ def cmd_verify(cfg: RunConfig) -> Result:
             "witness_expected": format_rational(w.expected),
             "witness_got": format_rational(w.got),
         })
-    ok = report.all_exact_match and report.max_symmetry_residual <= cfg.tolerance
+    ok = report.all_exact_match and report.max_symmetry_residual <= symmetry.TOLERANCE
     return [record], 0 if ok else 1
 
 
@@ -221,7 +213,7 @@ def cmd_symmetry(cfg: RunConfig) -> Result:
     for char in symmetry.builtin_characteristics() + [control]:
         worst = symmetry.residual_sweep(char, samples)
         # a built-in must meet the tolerance; the control must violate it
-        ok = worst > cfg.tolerance if char is control else worst <= cfg.tolerance
+        ok = worst > symmetry.TOLERANCE if char is control else worst <= symmetry.TOLERANCE
         records.append({"characteristic": char.label, "max_residual": worst, "pass": ok})
     return records, 0 if all(rec["pass"] for rec in records) else 1
 
@@ -247,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--mode", required=True,
                    choices=["iterate", "closed", "verify", "symmetry"])
-    for key, (cast, _, text) in _SETTINGS.items():
-        p.add_argument("--" + key, type=cast, help=text)
+    for key, (_, text) in _SETTINGS.items():
+        p.add_argument("--" + key, type=int, help=text)
     p.add_argument("--output", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out", help="output file (default stdout)")
     return p

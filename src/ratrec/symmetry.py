@@ -78,6 +78,11 @@ def symmetry_residual(char: Characteristic, n: int,
     )
 
 
+# the pass threshold of the symmetry and verify verdicts: over 200k samples in
+# [0.5, 2] the built-ins' residuals stayed below 1e-15, the control's above 9e-3
+TOLERANCE = 1e-10
+
+
 def random_samples(rng: random.Random, count: int) -> List[tuple]:
     """``count`` free sample points (n, u_n, u_n1, u_n3, a, b): n in 0..23,
     the rest uniform in [0.5, 2], drawn in that order."""

@@ -1,10 +1,10 @@
 """Randomized oracle-equivalence verification.
 
 Draws random rational seeds and coefficient streams (numerators from
-[-9, 9] without 0, denominators from [1, 9]), iterates the recurrence
-exactly, and compares the batch closed form with it at every index (which
-decides the V-reduction identity) and the per-index block product at three
-indices, plus a symmetry-residual sweep.
+[-9, 9], denominators from [1, 9]; only a coefficient b may be 0), iterates
+the recurrence exactly, and compares the batch closed form with it at every
+index (which decides the V-reduction identity) and the per-index block
+product at three indices, plus a symmetry-residual sweep.
 Instances that hit a singularity are skipped and counted, not failed.
 """
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ratrec
+from ratrec import symmetry
 from ratrec.cli import load_config, main, parse_config, ConfigError
 from ratrec.core import parse_rational
 from ratrec.engine import iterate
@@ -50,8 +51,10 @@ class TestConfigParsing:
         assert cfg.initial.x_0 == 1
 
     def test_unknown_top_key(self):
-        with pytest.raises(ConfigError):
-            parse_config({**UNIT_CONFIG, "bogus": 1})
+        # the symmetry threshold is the constant symmetry.TOLERANCE, not a setting
+        for key in ("bogus", "tolerance"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                parse_config({**UNIT_CONFIG, key: 1e-10})
 
     def test_unknown_nested_key(self):
         bad = dict(UNIT_CONFIG)
@@ -79,9 +82,10 @@ class TestConfigParsing:
         assert cfg.coefficients.at(3)[1] == pytest.approx(1 / 3)
 
     def test_config_error_exit_code(self, config_path, tmp_path):
-        code = main(["--config", config_path({**UNIT_CONFIG, "bogus": 1}),
-                     "--mode", "iterate", "--out", str(tmp_path / "o")])
-        assert code == 2
+        for key in ("bogus", "tolerance"):
+            code = main(["--config", config_path({**UNIT_CONFIG, key: 1}),
+                         "--mode", "iterate", "--out", str(tmp_path / "o")])
+            assert code == 2
 
     def test_missing_file_exit_code(self, tmp_path):
         out = tmp_path / "o"
@@ -132,16 +136,17 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("horizon", 2.9), ("horizon", 1e300), ("horizon", "3"), ("index", True),
         ("index", 1.0), ("trials", "5"), ("trials", False), ("seed", 0.5),
-        ("seed", None), ("tolerance", "1e-3"), ("tolerance", True), ("tolerance", [1]),
-        ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", -1e-3),
-        ("coefficients", {"kind": "periodic", "pairs": ["12", "34"]}),
-        ("coefficients", {"kind": "periodic", "a": "5", "b": "7", "pairs": [["1", "1"]]}),
-        ("coefficients", {"kind": "constant", "a": "1", "b": "1", "pairs": [["1", "1"]]}),
+        ("seed", None),
+        pytest.param("coefficients", {"kind": "periodic", "pairs": ["12", "34"]},
+                     id="coefficients-value15"),
+        pytest.param("coefficients", {"kind": "periodic", "a": "5", "b": "7",
+                                      "pairs": [["1", "1"]]}, id="coefficients-value16"),
+        pytest.param("coefficients", {"kind": "constant", "a": "1", "b": "1",
+                                      "pairs": [["1", "1"]]}, id="coefficients-value17"),
     ])
     def test_scalar_of_wrong_json_type_exit_code(self, config_path, tmp_path, capsys,
                                                  key, value):
-        # integer fields take JSON integers only, tolerance a finite JSON
-        # number >= 0 (json writes NaN and Infinity), each coefficient pair a
+        # integer fields take JSON integers only, each coefficient pair a
         # JSON array, and coefficients exactly the keys their kind reads
         # (constant: a, b; periodic and list: pairs); symmetry reads neither
         # horizon nor index, so a
@@ -151,23 +156,11 @@ class TestConfigParsing:
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith(f"config error: bad {key}:")
 
-    @pytest.mark.parametrize("mode", ["verify", "symmetry"])
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.001"])
-    def test_bad_tolerance_flag_exit_code(self, config_path, tmp_path, capsys,
-                                          mode, tolerance):
-        code, text = run(config_path(UNIT_CONFIG), "--mode", mode, "--trials", "2",
-                         "--tolerance", tolerance, tmp_path=tmp_path)
-        assert code == 2 and text == ""
-        assert capsys.readouterr().err.startswith("config error: bad tolerance:")
-
-    def test_tolerance_is_checked_after_the_flag(self, config_path, tmp_path):
-        # the flag replaces a bad config value before the one check runs
-        code, _ = run(config_path({**UNIT_CONFIG, "tolerance": math.nan}), "--mode",
-                      "symmetry", "--trials", "2", "--tolerance", "1e-10", tmp_path=tmp_path)
-        assert code == 0
-
-    def test_integer_tolerance_is_a_number(self):
-        assert parse_config({**UNIT_CONFIG, "tolerance": 1}).tolerance == 1.0
+    def test_defaults_and_least_values(self):
+        cfg = parse_config({key: UNIT_CONFIG[key] for key in ("initial", "coefficients")})
+        assert (cfg.horizon, cfg.index, cfg.trials, cfg.seed) == (10, None, 100, 0)
+        cfg = parse_config(UNIT_CONFIG, horizon=0, trials=1)
+        assert (cfg.horizon, cfg.trials) == (0, 1)
 
     def test_keywords_replace_settings(self, config_path):
         assert load_config(config_path({**UNIT_CONFIG, "horizon": -1}), horizon=5).horizon == 5
@@ -176,14 +169,6 @@ class TestConfigParsing:
             parse_config({**UNIT_CONFIG, "horizon": 2.5}, horizon=5)
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config(UNIT_CONFIG, bogus=1)
-
-    def test_tolerance_too_large_for_a_float_exit_code(self, config_path, capsys):
-        # json reads a 400-digit integer exactly, and float() of it overflows
-        code = main(["--config", config_path({**UNIT_CONFIG, "tolerance": 10 ** 400}),
-                     "--mode", "symmetry", "--trials", "2"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("config error: bad tolerance:")
 
 
 class TestEachSettingCheckedInEveryMode:
@@ -381,6 +366,20 @@ class TestVerifyMode:
                          "--trials", "3", "--horizon", "-2", tmp_path=tmp_path)
         assert code == 2 and text == ""
 
+    @pytest.mark.parametrize("factor, status", [(1, 0), (2, 1)], ids=["at", "above"])
+    def test_symmetry_residual_decides_the_verdict(self, config_path, tmp_path,
+                                                   monkeypatch, factor, status):
+        # every instance matches, so the residual clause alone decides: a
+        # residual at most the tolerance passes, one above it fails the run
+        residual = factor * symmetry.TOLERANCE
+        monkeypatch.setattr(symmetry, "residual_sweep", lambda char, samples: residual)
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
+                         "--trials", "5", "--horizon", "10", tmp_path=tmp_path)
+        assert code == status
+        [rec] = jsonl_records(text)
+        assert rec["all_exact_match"] is True and rec["max_symmetry_residual"] == residual
+        assert not any(key.startswith("witness") for key in rec)
+
     def test_corrupt_csv_is_one_record(self, config_path, tmp_path, corrupt_closed_form):
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
                          "--trials", "25", "--horizon", "60", "--seed", "0",
@@ -417,15 +416,28 @@ class TestSymmetryMode:
         assert by_label["control-g1"]["max_residual"] >= 1e-3
         assert by_label["control-g1"]["pass"] is True  # control must violate tolerance
 
-    def test_tolerance_override(self, config_path, tmp_path):
+    def test_tolerance_override(self, config_path, tmp_path, monkeypatch):
         # absurdly loose tolerance flips the control's pass column, and a
         # failing verdict fails the run
+        monkeypatch.setattr(symmetry, "TOLERANCE", 1e6)
         code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
-                         "--trials", "50", "--tolerance", "1e6", tmp_path=tmp_path)
+                         "--trials", "50", tmp_path=tmp_path)
         assert code == 1
         by_label = {r["characteristic"]: r for r in jsonl_records(text)}
         assert by_label["control-g1"]["pass"] is False
+        assert all(by_label[label]["pass"] is True
+                   for label in ("alternating", "gamma", "gamma-conjugate"))
 
+    def test_residual_at_the_tolerance(self, config_path, tmp_path, monkeypatch):
+        # at the tolerance a built-in passes and the control fails
+        monkeypatch.setattr(symmetry, "residual_sweep",
+                            lambda char, samples: symmetry.TOLERANCE)
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
+                         "--trials", "2", tmp_path=tmp_path)
+        assert code == 1
+        assert {r["characteristic"]: r["pass"] for r in jsonl_records(text)} == {
+            "alternating": True, "gamma": True, "gamma-conjugate": True,
+            "control-g1": False}
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_samples_is_config_error(self, config_path, tmp_path, trials):
@@ -450,6 +462,14 @@ class TestModuleEntryPoint:
                               stdout=stdout, stderr=stderr,
                               env={**env, "PYTHONPATH": path}, timeout=120)
 
+    def test_help(self):
+        proc = self._run("--help")
+        out = proc.stdout.decode()
+        assert proc.returncode == 0 and out.startswith("usage: ratrec")
+        # the flags are generated from the integer settings, and only from them
+        assert all(f"--{key} " in out for key in ("index", "horizon", "trials", "seed"))
+        assert "--tolerance" not in out
+
     def test_output_matches_main(self, config_path, capsys):
         path = config_path(UNIT_CONFIG)
         proc = self._run("--config", path, "--mode", "iterate")
@@ -462,6 +482,8 @@ class TestModuleEntryPoint:
         (["--mode", "closed", "--index", "-4"], 3),
         # the negative control is a test seam, not a flag of the program
         (["--mode", "verify", "--corrupt"], 2),
+        # the symmetry threshold is a constant, not a flag
+        (["--mode", "symmetry", "--tolerance", "1e-10"], 2),
     ])
     def test_exit_status(self, config_path, argv, status):
         proc = self._run("--config", config_path(UNIT_CONFIG), *argv)
