@@ -240,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=["iterate", "closed", "verify", "symmetry"])
     for key, (_, text) in _SETTINGS.items():
-        p.add_argument("--" + key, type=int, help=text)
+        # named, not passed as default=: main reads every flag that is not None
+        # as an override of the config
+        default = getattr(RunConfig, key)
+        p.add_argument("--" + key, type=int,
+                       help=text if default is None else f"{text} (default {default})")
     p.add_argument("--output", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out", help="output file (default stdout)")
     return p

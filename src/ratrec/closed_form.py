@@ -26,15 +26,14 @@ So the batch values check the V reduction at every index, and only
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are
 all nonzero.  ``_v_checked`` is the one place that rule is tested:
-``x_closed`` and ``x_closed_all``, the a = -1 power form included, read
-their values from one checked fold.
+``x_closed`` and ``x_closed_all`` read their values from one checked fold.
 
 Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
 coefficient denominators its two factors share while they are small, and
 multiplied in a balanced tree, so the two operands of every multiplication
-(and of the gcds a ``Fraction`` takes in it) are of about the same size.  A
-constant a = -1 stream stops at V_2 and costs O(log m).
+(and of the gcds a ``Fraction`` takes in it) are of about the same size.
+Every stream, constant ones included, takes this one path.
 """
 
 from __future__ import annotations
@@ -48,11 +47,6 @@ from ratrec.core import (
     decompose_index,
 )
 from ratrec.reduced import v_values
-
-BRANCH_GENERAL = "general"
-BRANCH_A1 = "a1"
-BRANCH_ANEQ1 = "aneq1"
-BRANCH_ANEG1 = "aneg1"
 
 
 class ClosedFormError(ArithmeticError):
@@ -82,14 +76,14 @@ def _v_checked(ic: InitialConditions, coeffs: CoefficientStream,
 
 
 def branch(coeffs: CoefficientStream) -> str:
-    """The paper's case for a stream: constant a = 1, a = -1 or a != +-1,
-    else general.  Only a = -1 has its own path: the power form in ``x_closed``."""
+    """The paper's case for a stream, the label of a ``closed`` record:
+    constant a = 1, a = -1 or a != +-1, else general.  No kernel reads it."""
     if coeffs.kind != "constant":
-        return BRANCH_GENERAL
-    a, _ = coeffs.at(0)
+        return "general"
+    a, _ = coeffs.pairs[0]
     if a == 1:
-        return BRANCH_A1
-    return BRANCH_ANEG1 if a == -1 else BRANCH_ANEQ1
+        return "a1"
+    return "aneg1" if a == -1 else "aneq1"
 
 
 def _balanced_product(factors: List[Rational]) -> Rational:
@@ -107,21 +101,12 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
     times the n block ratios V_{6s+j}/V_{6s+j+3} of one checked V fold, in
     O(m) field operations for the fold and a balanced product tree over
     the ratios.  At n = 0 the product is the prefactor alone.
-
-    A constant a = -1 stream has V_{t+2} = -(-V_t + b) + b = V_t, so every
-    block factor V_{6s+j}/V_{6s+j+3} is (V_1/V_0)^{+-1}: the fold stops at
-    V_2 and x_m = x_{j-3} (V_1/V_0)^{+n} for odd j, ^{-n} for even j, in
-    O(log n) operations.  V_1/V_0 = -1 + b x_{-3} x_0; where it vanishes
-    only the seeds exist.
     """
     n, j = decompose_index(m)
-    power_form = n > 0 and branch(coeffs) == BRANCH_ANEG1
-    vs = _v_checked(ic, coeffs, 2 if power_form else max(m, 0))
+    vs = _v_checked(ic, coeffs, max(m, 0))
     seeds = ic.as_tuple()
     # the prefactor x_{j-3}: a seed, or for j = 4, 5 the batch rule at t = j - 3
     head = seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
-    if power_form:
-        return head * (vs[1] / vs[0]) ** (n if j % 2 == 1 else -n)
     return _balanced_product([head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
 
 

@@ -4,8 +4,8 @@ Exact values are ``fractions.Fraction`` (aliased ``Rational``), made only
 at the boundary: ``parse_rational``, ``InitialConditions.of``, the
 ``CoefficientStream`` classmethods, the verify sampler and the bare-scalar
 entry point ``x_closed_constant``.  Kernels never coerce: they run on any
-field scalar with + - * /, ** and == 0, which the raw dataclass
-constructors pass through.
+field scalar with + - * / and == 0, which the raw dataclass constructors
+pass through.
 Rational literals are "p/q" or integer strings; decimals are rejected on
 purpose, since a decimal string is ambiguous as an exact value.
 
@@ -48,9 +48,7 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(x: Rational) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x)
 
 
 class HorizonError(IndexError):

@@ -32,17 +32,15 @@ def random_rational(rng: random.Random, nonzero: bool = True) -> Rational:
 def random_stream(rng: random.Random, horizon: int) -> CoefficientStream:
     kind = rng.choice(["constant", "periodic", "list"])
     if kind == "constant":
-        return CoefficientStream.constant(
-            random_rational(rng, nonzero=True), random_rational(rng, nonzero=False))
-    if kind == "periodic":
-        period = rng.randint(1, 6)
-        return CoefficientStream.periodic(
-            [(random_rational(rng, nonzero=True), random_rational(rng, nonzero=False))
-             for _ in range(period)])
-    # at least one pair: an explicit stream cannot be empty, even at horizon 0
-    return CoefficientStream.explicit(
-        [(random_rational(rng, nonzero=True), random_rational(rng, nonzero=False))
-         for _ in range(max(horizon, 1))])
+        count = 1
+    elif kind == "periodic":
+        count = rng.randint(1, 6)
+    else:
+        # an explicit stream cannot be empty, even at horizon 0
+        count = max(horizon, 1)
+    return CoefficientStream(kind, tuple(
+        (random_rational(rng, nonzero=True), random_rational(rng, nonzero=False))
+        for _ in range(count)))
 
 
 def random_seeds(rng: random.Random) -> InitialConditions:

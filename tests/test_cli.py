@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -469,6 +470,12 @@ class TestModuleEntryPoint:
         # the flags are generated from the integer settings, and only from them
         assert all(f"--{key} " in out for key in ("index", "horizon", "trials", "seed"))
         assert "--tolerance" not in out
+        # each setting's help names RunConfig's default; index has none
+        words = " ".join(out.split())
+        for key, default in (("horizon", 10), ("trials", 100), ("seed", 0)):
+            assert re.search(rf"--{key} {key.upper()} [^-]*\(default {default}\)", words)
+        index_help = re.search(r"--index INDEX ([^-]*)--horizon", words)
+        assert index_help and "default" not in index_help.group(1)
 
     def test_output_matches_main(self, config_path, capsys):
         path = config_path(UNIT_CONFIG)

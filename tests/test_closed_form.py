@@ -7,6 +7,7 @@ from ratrec import reduced
 from ratrec.closed_form import (
     SingularClosedFormError,
     ZeroInitialError,
+    branch,
     x_closed,
     x_closed_all,
     x_closed_constant,
@@ -207,8 +208,26 @@ class TestXClosedConstant:
         assert hits >= 3
 
 
+class TestBranch:
+    """``branch`` labels the paper's constant-coefficient cases; any other
+    stream is general, even one whose every pair is the same."""
+
+    @pytest.mark.parametrize("a,label", [(1, "a1"), (-1, "aneg1"), (2, "aneq1"),
+                                         (-2, "aneq1"), (Fraction(1, 2), "aneq1")])
+    def test_constant(self, a, label):
+        assert branch(CoefficientStream.constant(a, 3)) == label
+
+    def test_general(self):
+        for stream in (CoefficientStream.periodic([(1, 1)]),
+                       CoefficientStream.periodic([(-1, 1), (-1, 1)]),
+                       CoefficientStream.explicit([(1, 0)])):
+            assert branch(stream) == "general"
+
+
 class TestANeg1:
-    """``x_closed`` on a constant a = -1 stream: the power form."""
+    """``x_closed`` on a constant a = -1 stream, whose V is 2-periodic:
+    V_{t+2} = -(-V_t + b) + b = V_t, so each block ratio is (V_1/V_0)^{+-1}
+    and the base V_1/V_0 = -1 + b x_{-3} x_0 decides every value."""
 
     def test_derived_witness(self):
         # ic all ones, b = 3: base = 2, x_3 = 1/2 (even j), x_4 = 2 (odd j)
@@ -256,15 +275,22 @@ class TestANeg1:
             checked += 1
         assert checked >= 10
 
+    def test_deep_index(self):
+        # m = 6001 = 6n + 4 - 3 with n = 1000: x_1 * (V_1/V_0)^-n, V_1/V_0 = 2
+        stream = CoefficientStream.constant(-1, 3)
+        assert x_closed(ONES, stream, 6001) == Fraction(1, 2 ** 1001)
+
     def test_dispatch_from_constant(self):
         assert (x_closed_constant(ONES, Fraction(-1), Fraction(3), 4)
                 == x_closed(ONES, CoefficientStream.constant(-1, 3), 4))
 
 
 class TestOneFold:
-    """Each call folds V once, and the a = -1 power form stops at V_2."""
+    """Each call folds V once, to max(m, 0) for ``x_closed``, whatever the
+    stream: a constant a = -1 one takes the same path as the others."""
 
-    STREAM = CoefficientStream.periodic([(1, 1), (2, 1), (Fraction(1, 2), 3)])
+    STREAMS = (CoefficientStream.periodic([(1, 1), (2, 1), (Fraction(1, 2), 3)]),
+               CoefficientStream.constant(-1, 3))
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -280,21 +306,17 @@ class TestOneFold:
 
     @pytest.mark.parametrize("m", [-3, 0, 1, 2, 3, 25, 26])
     def test_x_closed(self, steps, m):
-        x_closed(ONES, self.STREAM, m)
-        assert len(steps) == max(m, 0)
+        for stream in self.STREAMS:
+            steps.clear()
+            x_closed(ONES, stream, m)
+            assert len(steps) == max(m, 0)
 
     @pytest.mark.parametrize("horizon", [-3, 0, 1, 2, 30])
     def test_x_closed_all(self, steps, horizon):
         # a negative horizon is refused before the fold takes a step
         with pytest.raises(ValueError) if horizon < 0 else nullcontext():
-            x_closed_all(ONES, self.STREAM, horizon)
+            x_closed_all(ONES, self.STREAMS[0], horizon)
         assert len(steps) == max(horizon, 0)
-
-    def test_a_neg1_power_form(self, steps):
-        # m = 600001 = 6n + 4 - 3 with n = 100000: x_1 * (V_1/V_0)^-n, V_1/V_0 = 2
-        stream = CoefficientStream.constant(-1, 3)
-        assert x_closed(ONES, stream, 600001) == Fraction(1, 2 ** 100001)
-        assert len(steps) <= 2
 
 
 def small_rational(rng, nonzero=False):

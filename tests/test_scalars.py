@@ -50,7 +50,7 @@ def assert_reduces(exact, modular):
 def instances(rng, count):
     """Random seeds and streams; every other instance draws from {0, +-1/2,
     +-1, +-2}, so zero seeds and singular steps occur, and every fourth has
-    a constant a = -1 stream, which takes the power path."""
+    a constant a = -1 stream, whose V values repeat with period 2."""
     for i in range(count):
         if i % 2:
             ic = InitialConditions.of(*(small_rational(rng) for _ in range(4)))
@@ -83,7 +83,8 @@ class TestKernelsOverGF:
                                outcome(x_closed, gic, gstream, m))
 
     def test_power_path_runs_over_gf(self):
-        # constant a = -1, b = 3 from seeds 1: base -1 + 3 = 2, so x_4 = 2
+        # constant a = -1, b = 3 from seeds 1: V is 2-periodic with
+        # V_1/V_0 = -1 + 3 = 2, so x_4 = x_{-2} V_1/V_4 = 2 by the block product
         gic, gstream = to_gf(ONES, CoefficientStream.constant(-1, 3))
         assert x_closed(gic, gstream, 4) == GF(2)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,12 +25,7 @@ BUILTIN = {char.label: char for char in symmetry.builtin_characteristics()}
 
 
 def sample_sweep(rng, count=500):
-    return [
-        (rng.randrange(0, 24),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        for _ in range(count)
-    ]
+    return symmetry.random_samples(rng, count)
 
 
 class TestGammaPower:
@@ -78,6 +74,19 @@ class TestSymmetryResidual:
         control = Characteristic(lambda n: complex(1.0, 0.0), "g1")
         worst = max(abs(symmetry_residual(control, *s)) for s in sample_sweep(rng))
         assert worst >= 1e-3
+
+
+def test_sampler_draws_are_pinned():
+    # 28 points of seed 0, as the symmetry mode draws them: n, then five
+    # floats.  The 28th is the first n that would read 24 were its range 0..24
+    samples = symmetry.random_samples(random.Random(0), 28)
+    assert [n for n, *_ in samples] == [
+        12, 9, 4, 19, 15, 17, 0, 19, 6, 2, 17, 19, 7, 15, 2, 8, 13, 11, 7, 13,
+        18, 6, 1, 23, 8, 14, 23, 1]
+    assert samples[0] == (12, 1.6369316044104538, 1.1308573712462675,
+                          0.888375125439445, 1.2669120820529127, 1.1074012061756213)
+    assert samples[-1] == (1, 1.6829724350147148, 0.7373129447410769,
+                           0.7429311052968264, 1.294211334556572, 0.6758192658065787)
 
 
 class TestConstraintResidual:

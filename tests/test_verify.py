@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratrec import reduced, verify
+from ratrec import reduced, symmetry, verify
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.verify import _Skip, check_instance, run_verification
@@ -85,6 +85,21 @@ def test_report_counts(horizon):
     # every run trial checks x_{-3}..x_horizon
     assert report.indices_checked == report.trials_run * (horizon + 4)
     assert report.all_exact_match and report.witness is None
+
+
+def test_residual_sweep_size(monkeypatch):
+    # the sweep draws 100 points, once per run, so its maximum is comparable
+    # between runs of any trial count
+    counts = []
+    true_samples = symmetry.random_samples
+
+    def counted(rng, count):
+        counts.append(count)
+        return true_samples(rng, count)
+
+    monkeypatch.setattr(symmetry, "random_samples", counted)
+    run_verification(trials=3, horizon=2, seed=0)
+    assert counts == [100]
 
 
 def test_sampler_draws_are_pinned():
