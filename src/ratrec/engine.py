@@ -2,11 +2,14 @@
 
 One step computes
 
-    x_{n+1} = x_{n-3} x_n / (x_{n-2} (a_n + b_n x_{n-3} x_n)).
+    x_{n+1} = x_{n-3} x_n / (x_{n-2} (a_n + b_n x_{n-3} x_n))
+            = 1 / (x_{n-2} (a_n/p + b_n)),   p = x_{n-3} x_n,
 
-The denominator can vanish in two distinct ways and we keep them apart:
-``zero-x-factor`` (x_{n-2} = 0, the forbidden-set flavour) and
-``zero-bracket`` (a_n + b_n x_{n-3} x_n = 0, a dynamical collision).
+in the second form: p has small height, so the step makes one big-by-big
+product instead of three.  The denominator can vanish in two distinct
+ways, checked in this order and kept apart: ``zero-x-factor`` (x_{n-2} = 0,
+the forbidden-set flavour) and ``zero-bracket`` (a dynamical collision:
+a_n/p + b_n = 0, or a_n = 0 when p = 0; otherwise p = 0 gives x_{n+1} = 0).
 Singularity is sticky: no values are produced past the first failure.
 The reduced values V_n = 1/(x_{n-3} x_n) are folded by ``reduced``, not
 read off a trajectory: the iteration stays the closed form's oracle.
@@ -36,16 +39,15 @@ class SingularityError(ZeroDivisionError):
 
 def step(x_nm3: Rational, x_nm2: Rational, x_n: Rational,
          a_n: Rational, b_n: Rational, n: int = 0) -> Rational:
-    """One application of the recurrence; raises SingularityError if the
-    denominator vanishes.  Works on exact rationals, floats and complex
-    numbers alike (in u-form: ``step(u_n, u_{n+1}, u_{n+3}, a_n, b_n)``
-    is u_{n+4})."""
+    """One application of the recurrence on an exact field scalar; raises
+    SingularityError if the denominator vanishes."""
     if x_nm2 == 0:
         raise SingularityError(SingularReport(step=n, cause=ZERO_X_FACTOR))
-    bracket = a_n + b_n * x_nm3 * x_n
+    p = x_nm3 * x_n
+    bracket = a_n / p + b_n if p != 0 else a_n
     if bracket == 0:
         raise SingularityError(SingularReport(step=n, cause=ZERO_BRACKET))
-    return (x_nm3 * x_n) / (x_nm2 * bracket)
+    return 1 / (x_nm2 * bracket) if p != 0 else p
 
 
 def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> Trajectory:

@@ -22,8 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from ratrec.engine import step
-
 _HALF_ROOT3 = math.sqrt(3.0) / 2.0
 
 # gamma^k for k = 0..5, gamma = exp(i pi/3)
@@ -69,7 +67,7 @@ def symmetry_residual(char: Characteristic, n: int,
     so no denominator comes near zero.
     """
     bracket = a_n + b_n * u_n * u_n3
-    value = step(u_n, u_n1, u_n3, a_n, b_n)
+    value = u_n * u_n3 / (u_n1 * bracket)
     return (
         char.g(n + 4) * value
         - a_n * u_n * (char.g(n + 3) * u_n3) / (u_n1 * bracket ** 2)

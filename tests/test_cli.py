@@ -484,6 +484,26 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.decode() == capsys.readouterr().out
 
+    # the default stdout records stay byte for byte: the float residuals too,
+    # so any change in how a residual is evaluated shows here
+    @pytest.mark.parametrize("argv, stdout", [
+        (["--mode", "symmetry", "--seed", "0"],
+         b'{"characteristic": "alternating", "max_residual": 3.3306690738754696e-16,'
+         b' "pass": true}\n'
+         b'{"characteristic": "gamma", "max_residual": 2.2887833992611187e-16,'
+         b' "pass": true}\n'
+         b'{"characteristic": "gamma-conjugate", "max_residual": 2.2887833992611187e-16,'
+         b' "pass": true}\n'
+         b'{"characteristic": "control-g1", "max_residual": 2.1907170707963397,'
+         b' "pass": true}\n'),
+        (["--mode", "verify", "--seed", "0", "--horizon", "30"],
+         b'{"trials_run": 100, "trials_skipped": 0,'
+         b' "max_symmetry_residual": 3.3306690738754696e-16, "all_exact_match": true}\n'),
+    ], ids=["symmetry", "verify"])
+    def test_pinned_stdout(self, config_path, argv, stdout):
+        proc = self._run("--config", config_path(UNIT_CONFIG), "--output", "jsonl", *argv)
+        assert proc.returncode == 0 and proc.stdout == stdout
+
     @pytest.mark.parametrize("argv, status", [
         (["--mode", "iterate", "--horizon", "x"], 2),
         (["--mode", "closed", "--index", "-4"], 3),

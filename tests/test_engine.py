@@ -11,9 +11,33 @@ from ratrec.engine import (
     iterate,
     step,
 )
-from tests.conftest import rand_seeds, rand_stream, v_from
+from tests.conftest import GF, rand_seeds, rand_stream, v_from
+from tests.test_closed_form import small_rational
 
 ONES = InitialConditions.of(1, 1, 1, 1)
+
+
+def literal_step(x_nm3, x_nm2, x_n, a_n, b_n):
+    """The paper's right-hand side as written, x_{n-3} x_n over
+    x_{n-2} (a_n + b_n x_{n-3} x_n), or the cause when that denominator
+    vanishes."""
+    if x_nm2 * (a_n + b_n * x_nm3 * x_n) == 0:
+        return ZERO_X_FACTOR if x_nm2 == 0 else ZERO_BRACKET
+    return x_nm3 * x_n / (x_nm2 * (a_n + b_n * x_nm3 * x_n))
+
+
+def step_outcome(*args):
+    """``step``'s value, or the cause of the SingularityError it raised."""
+    try:
+        return step(*args)
+    except SingularityError as exc:
+        return exc.report.cause
+
+
+def cause_of(*args, n=0):
+    with pytest.raises(SingularityError) as exc:
+        step(*args, n=n)
+    return exc.value.report.step, exc.value.report.cause
 
 
 class TestStep:
@@ -22,17 +46,47 @@ class TestStep:
 
     def test_b_zero_reduces(self):
         assert step(Fraction(5), Fraction(3), Fraction(2), Fraction(1), Fraction(0)) == Fraction(10, 3)
+        assert step(Fraction(2), Fraction(4), Fraction(6), Fraction(1), Fraction(0)) == 3
 
     def test_zero_bracket(self):
         with pytest.raises(SingularityError) as exc:
             step(Fraction(1), Fraction(1), Fraction(-1), Fraction(1), Fraction(1))
         assert exc.value.report.cause == ZERO_BRACKET
+        # p = -1: a_n/p + b_n = -1 + 1 vanishes, and x_{n-2} = 2 does not
+        assert cause_of(*map(Fraction, (1, 2, -1, 1, 1)), n=6) == (6, ZERO_BRACKET)
 
     def test_zero_x_factor(self):
         with pytest.raises(SingularityError) as exc:
             step(Fraction(1), Fraction(0), Fraction(1), Fraction(1), Fraction(1), n=5)
         assert exc.value.report.cause == ZERO_X_FACTOR
         assert exc.value.report.step == 5
+
+    @pytest.mark.parametrize("x_nm3, x_n", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_product_gives_zero(self, x_nm3, x_n):
+        # p = x_{n-3} x_n = 0: the bracket is a_n != 0, so x_{n+1} = 0
+        value = step(Fraction(x_nm3), Fraction(2), Fraction(x_n), Fraction(-5, 3), Fraction(7))
+        assert value == 0 and type(value) is Fraction
+
+    def test_zero_product_zero_a(self):
+        # p = 0 and a_n = 0: the bracket a_n + b_n p vanishes, whatever b_n is
+        assert cause_of(*map(Fraction, (0, 2, 5, 0, 7)), n=4) == (4, ZERO_BRACKET)
+
+    def test_zero_x_factor_checked_first(self):
+        # x_{n-2} = 0 wins even when p = 0 and a_n = 0 make the bracket vanish too
+        assert cause_of(*map(Fraction, (0, 0, 5, 0, 7)), n=2) == (2, ZERO_X_FACTOR)
+
+    @pytest.mark.parametrize("scalar", [Fraction, GF], ids=["fraction", "gf"])
+    def test_matches_literal_formula(self, rng, scalar):
+        # values from {0, +-1/2, +-1, +-2}: each outcome is drawn with p = 0
+        # and with p != 0
+        seen = set()
+        for _ in range(3000):
+            args = [scalar(small_rational(rng)) for _ in range(5)]
+            want, got = literal_step(*args), step_outcome(*args)
+            assert type(got) is type(want) and got == want
+            seen.add((want if isinstance(want, str) else "value", args[0] * args[2] == 0))
+        assert seen == {(outcome, p_is_zero) for p_is_zero in (True, False)
+                        for outcome in (ZERO_X_FACTOR, ZERO_BRACKET, "value")}
 
 
 class TestIterate:
@@ -79,6 +133,13 @@ class TestDetectSingularity:
         rep = iterate(InitialConditions.of(1, 1, 1, -1),
                       CoefficientStream.constant(1, 1), 100).singular
         assert rep is not None and (rep.step, rep.cause) == (0, ZERO_BRACKET)
+
+    def test_zero_product_is_a_value(self):
+        # x_{-3} = 0 makes p = 0 at step 0, so x_1 = 0, then x_2 = x_3 = 0 the
+        # same way, until x_1 = 0 is the x_{n-2} of step 3
+        traj = iterate(InitialConditions.of(0, 1, 1, 1), CoefficientStream.constant(2, 1), 6)
+        assert traj.values == (0, 1, 1, 1, 0, 0, 0)
+        assert (traj.singular.step, traj.singular.cause) == (3, ZERO_X_FACTOR)
 
     def test_zero_seed(self):
         rep = iterate(InitialConditions.of(1, 0, 1, 1),
