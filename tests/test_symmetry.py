@@ -6,7 +6,7 @@ import pytest
 
 from ratrec.closed_form import x_closed
 from ratrec.core import CoefficientStream, InitialConditions
-from ratrec.engine import iterate
+from ratrec.engine import iterate, step
 from ratrec import symmetry
 from ratrec.symmetry import (
     Characteristic,
@@ -40,6 +40,25 @@ class TestGammaPower:
         for n in range(-10, 10):
             want = complex(math.cos(n * math.pi / 3), math.sin(n * math.pi / 3))
             assert abs(gamma_power(n) - want) < TABLE_TOL
+
+
+class TestPhi:
+    """``engine.step`` on floats gives the u-form right-hand side
+    u_n u_{n+3} / (u_{n+1}(a_n + b_n u_n u_{n+3})), the value term that
+    ``symmetry_residual`` writes out, to rounding; on rationals it is exact."""
+
+    def test_unit(self):
+        assert step(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5)
+
+    def test_b_zero(self):
+        assert step(2.0, 4.0, 6.0, 1.0, 0.0) == pytest.approx(3.0)
+
+    def test_exact_domain(self):
+        assert step(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)) == Fraction(1, 2)
+
+    def test_vanishing_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            step(1.0, 2.0, -1.0, 1.0, 1.0)
 
 
 class TestSymmetryResidual:
