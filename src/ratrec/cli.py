@@ -208,13 +208,12 @@ def cmd_verify(cfg: RunConfig) -> Result:
 
 def cmd_symmetry(cfg: RunConfig) -> Result:
     samples = symmetry.random_samples(random.Random(cfg.seed), cfg.trials)
-    control = symmetry.Characteristic(lambda n: complex(1.0, 0.0), "control-g1")
     records = []
-    for char in symmetry.builtin_characteristics() + [control]:
-        worst = symmetry.residual_sweep(char, samples)
+    for label, g in [*symmetry.BUILTINS.items(), ("control-g1", symmetry.CONTROL)]:
+        worst = symmetry.residual_sweep(g, samples)
         # a built-in must meet the tolerance; the control must violate it
-        ok = worst > symmetry.TOLERANCE if char is control else worst <= symmetry.TOLERANCE
-        records.append({"characteristic": char.label, "max_residual": worst, "pass": ok})
+        ok = worst > symmetry.TOLERANCE if g is symmetry.CONTROL else worst <= symmetry.TOLERANCE
+        records.append({"characteristic": label, "max_residual": worst, "pass": ok})
     return records, 0 if all(rec["pass"] for rec in records) else 1
 
 

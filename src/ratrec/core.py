@@ -51,10 +51,6 @@ def format_rational(x: Rational) -> str:
     return str(x)
 
 
-class HorizonError(IndexError):
-    """Query beyond the declared horizon of an explicit-list stream."""
-
-
 @dataclass(frozen=True)
 class CoefficientStream:
     """Total deterministic map n -> (a_n, b_n) for n >= 0.
@@ -90,7 +86,7 @@ class CoefficientStream:
         if n < 0:
             raise IndexError(f"stream index must be >= 0, got {n}")
         if self.kind == "list" and n >= len(self.pairs):
-            raise HorizonError(
+            raise IndexError(
                 f"stream index {n} beyond declared horizon {len(self.pairs) - 1}"
             )
         # a constant stream is a periodic one with one pair

@@ -5,22 +5,24 @@ The u-form of the recurrence is
     u_{n+4} = u_n u_{n+3} / (u_{n+1} (A_n + B_n u_n u_{n+3})),
 
 and its linear characteristics are xi(n, u) = g(n) u with g among
-(-1)^n, gamma^n, conj(gamma)^n for gamma = exp(i pi/3).  This module
-evaluates the linearized-symmetry-condition residual for any such g at
-free sample points, for the ``symmetry`` and ``verify`` modes.  The rest
-of the reduction (canonical coordinate, invariant, weighted product) is
-exact algebra: the closed form computes it and the tests check it exactly.
+(-1)^n, gamma^n, conj(gamma)^n for gamma = exp(i pi/3).  Each has a period
+that divides 6, so a characteristic is its label and its table
+g(0)..g(5): ``BUILTINS`` maps the three labels to their tables, and
+``CONTROL`` is the table of g = 1.  This module evaluates the
+linearized-symmetry-condition residual for such a table at free sample
+points, for the ``symmetry`` and ``verify`` modes.  The rest of the
+reduction (canonical coordinate, invariant, weighted product) is exact
+algebra: the closed form computes it and the tests check it exactly.
 
-Powers of gamma come from a 6-entry (cos, sin) table at multiples of pi/3,
-so gamma^{n+6} = gamma^n and gamma^{n+3} = -gamma^n hold exactly.
+The gamma table holds (cos, sin) at multiples of pi/3, so
+gamma^{n+3} = -gamma^n holds exactly.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 _HALF_ROOT3 = math.sqrt(3.0) / 2.0
 
@@ -34,28 +36,17 @@ _GAMMA_TABLE = (
     complex(0.5, -_HALF_ROOT3),
 )
 
-def gamma_power(n: int) -> complex:
-    """gamma^n via the 6-periodic lookup table (works for negative n)."""
-    return _GAMMA_TABLE[n % 6]
+# each characteristic's table g(0)..g(5), by label
+BUILTINS = {
+    "alternating": (complex(1.0, 0.0), complex(-1.0, 0.0)) * 3,
+    "gamma": _GAMMA_TABLE,
+    "gamma-conjugate": tuple(z.conjugate() for z in _GAMMA_TABLE),
+}
+# the failing control g = 1
+CONTROL = (complex(1.0, 0.0),) * 6
 
 
-@dataclass(frozen=True)
-class Characteristic:
-    """A linear symmetry characteristic xi(n, u) = g(n) u."""
-
-    g: Callable[[int], complex]
-    label: str
-
-
-def builtin_characteristics() -> List[Characteristic]:
-    return [
-        Characteristic(g=lambda n: complex((-1) ** (n % 2), 0.0), label="alternating"),
-        Characteristic(g=gamma_power, label="gamma"),
-        Characteristic(g=lambda n: gamma_power(n).conjugate(), label="gamma-conjugate"),
-    ]
-
-
-def symmetry_residual(char: Characteristic, n: int,
+def symmetry_residual(g: Sequence[complex], n: int,
                       u_n: float, u_n1: float, u_n3: float,
                       a_n: float, b_n: float) -> complex:
     """Residual of the linearized symmetry condition at a free sample point.
@@ -69,10 +60,10 @@ def symmetry_residual(char: Characteristic, n: int,
     bracket = a_n + b_n * u_n * u_n3
     value = u_n * u_n3 / (u_n1 * bracket)
     return (
-        char.g(n + 4) * value
-        - a_n * u_n * (char.g(n + 3) * u_n3) / (u_n1 * bracket ** 2)
-        + u_n * u_n3 * (char.g(n + 1) * u_n1) / (u_n1 ** 2 * bracket)
-        - a_n * u_n3 * (char.g(n) * u_n) / (u_n1 * bracket ** 2)
+        g[(n + 4) % 6] * value
+        - a_n * u_n * (g[(n + 3) % 6] * u_n3) / (u_n1 * bracket ** 2)
+        + u_n * u_n3 * (g[(n + 1) % 6] * u_n1) / (u_n1 ** 2 * bracket)
+        - a_n * u_n3 * (g[n % 6] * u_n) / (u_n1 * bracket ** 2)
     )
 
 
@@ -92,9 +83,9 @@ def random_samples(rng: random.Random, count: int) -> List[tuple]:
     ]
 
 
-def residual_sweep(char: Characteristic, samples: Sequence[tuple]) -> float:
+def residual_sweep(g: Sequence[complex], samples: Sequence[tuple]) -> float:
     """Max |symmetry_residual| over (n, u_n, u_n1, u_n3, a, b) samples."""
     worst = 0.0
     for n, u_n, u_n1, u_n3, a, b in samples:
-        worst = max(worst, abs(symmetry_residual(char, n, u_n, u_n1, u_n3, a, b)))
+        worst = max(worst, abs(symmetry_residual(g, n, u_n, u_n1, u_n3, a, b)))
     return worst

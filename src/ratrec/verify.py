@@ -82,7 +82,8 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
     it is checked at indices 0, min(7, horizon) and horizon.
     Returns None on agreement, a Witness on the first mismatch; raises _Skip
     unless the iteration is regular and the seeds are nonzero, which puts
-    the whole instance inside the closed form's domain.
+    the whole instance inside the closed form's domain.  The seed gate is for
+    direct callers: ``random_seeds`` never draws a zero seed.
     """
     traj = iterate(ic, stream, horizon)
     if not traj.is_regular or not ic.all_nonzero():
@@ -126,6 +127,5 @@ def run_verification(trials: int, horizon: int, seed: int) -> VerificationReport
             report.witness = witness
     samples = symmetry.random_samples(rng, RESIDUAL_SAMPLES)
     report.max_symmetry_residual = max(
-        symmetry.residual_sweep(char, samples)
-        for char in symmetry.builtin_characteristics())
+        symmetry.residual_sweep(g, samples) for g in symmetry.BUILTINS.values())
     return report

@@ -144,11 +144,10 @@ def test_criterion_5_symmetry_residuals():
         for _ in range(500)
     ]
     worsts = {}
-    for char in symmetry.builtin_characteristics():
-        worsts[char.label] = symmetry.residual_sweep(char, samples)
-        assert worsts[char.label] <= 1e-10
-    control = symmetry.Characteristic(lambda n: complex(1.0, 0.0), "g1")
-    control_worst = symmetry.residual_sweep(control, samples)
+    for label, g in symmetry.BUILTINS.items():
+        worsts[label] = symmetry.residual_sweep(g, samples)
+        assert worsts[label] <= 1e-10
+    control_worst = symmetry.residual_sweep(symmetry.CONTROL, samples)
     assert control_worst >= 1e-3
     report(5, True,
            f"max residuals {worsts} <= 1e-10; control {control_worst:.3g} >= 1e-3")

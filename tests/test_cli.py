@@ -373,7 +373,7 @@ class TestVerifyMode:
         # every instance matches, so the residual clause alone decides: a
         # residual at most the tolerance passes, one above it fails the run
         residual = factor * symmetry.TOLERANCE
-        monkeypatch.setattr(symmetry, "residual_sweep", lambda char, samples: residual)
+        monkeypatch.setattr(symmetry, "residual_sweep", lambda g, samples: residual)
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
                          "--trials", "5", "--horizon", "10", tmp_path=tmp_path)
         assert code == status
@@ -432,7 +432,7 @@ class TestSymmetryMode:
     def test_residual_at_the_tolerance(self, config_path, tmp_path, monkeypatch):
         # at the tolerance a built-in passes and the control fails
         monkeypatch.setattr(symmetry, "residual_sweep",
-                            lambda char, samples: symmetry.TOLERANCE)
+                            lambda g, samples: symmetry.TOLERANCE)
         code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
                          "--trials", "2", tmp_path=tmp_path)
         assert code == 1

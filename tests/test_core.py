@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from ratrec.core import (
     CoefficientStream,
-    HorizonError,
     InitialConditions,
     decompose_index,
     format_rational,
@@ -75,7 +74,7 @@ class TestCoefficientStream:
         assert s.at(3) == (Fraction(1), Fraction(0))
         # the first index past the last pair, and one further on
         for n in (4, 7):
-            with pytest.raises(HorizonError):
+            with pytest.raises(IndexError, match="beyond declared horizon 3"):
                 s.at(n)
 
     def test_negative_index(self):

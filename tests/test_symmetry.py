@@ -8,11 +8,7 @@ from ratrec.closed_form import x_closed
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate, step
 from ratrec import symmetry
-from ratrec.symmetry import (
-    Characteristic,
-    gamma_power,
-    symmetry_residual,
-)
+from ratrec.symmetry import BUILTINS, CONTROL, symmetry_residual
 from tests.conftest import v_from, weight, weighted_product
 
 ONES = InitialConditions.of(1, 1, 1, 1)
@@ -21,25 +17,28 @@ UNIT_STREAM = CoefficientStream.constant(1, 1)
 IDENT_TOL = 1e-10
 TABLE_TOL = 1e-12
 
-BUILTIN = {char.label: char for char in symmetry.builtin_characteristics()}
-
 
 def sample_sweep(rng, count=500):
     return symmetry.random_samples(rng, count)
 
 
-class TestGammaPower:
-    def test_cube_is_minus_one(self):
-        assert abs(gamma_power(3) + 1) == 0
+class TestTables:
+    """A characteristic is its table g(0)..g(5)."""
 
-    def test_periodicity(self):
-        for n in range(-12, 12):
-            assert gamma_power(n + 6) == gamma_power(n)
+    def test_six_entries(self):
+        for g in (*BUILTINS.values(), CONTROL):
+            assert len(g) == 6
+
+    def test_cube_is_minus_one(self):
+        assert BUILTINS["gamma"][3] == -1
 
     def test_matches_exponential(self):
-        for n in range(-10, 10):
-            want = complex(math.cos(n * math.pi / 3), math.sin(n * math.pi / 3))
-            assert abs(gamma_power(n) - want) < TABLE_TOL
+        for k, z in enumerate(BUILTINS["gamma"]):
+            want = complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
+            assert abs(z - want) < TABLE_TOL
+            assert BUILTINS["gamma-conjugate"][k] == z.conjugate()
+            assert BUILTINS["alternating"][k] == (-1) ** k
+            assert CONTROL[k] == 1
 
 
 class TestPhi:
@@ -62,19 +61,23 @@ class TestPhi:
 
 
 class TestSymmetryResidual:
-    @pytest.mark.parametrize("char", symmetry.builtin_characteristics(),
-                             ids=lambda c: c.label)
-    def test_builtins_vanish(self, rng, char):
+    @pytest.mark.parametrize("g", BUILTINS.values(), ids=BUILTINS.keys())
+    def test_builtins_vanish(self, rng, g):
         for s in sample_sweep(rng):
-            assert abs(symmetry_residual(char, *s)) <= IDENT_TOL
+            assert abs(symmetry_residual(g, *s)) <= IDENT_TOL
+
+    @pytest.mark.parametrize("g", BUILTINS.values(), ids=BUILTINS.keys())
+    def test_period_six(self, rng, g):
+        # the table is read at (n + k) % 6, so n and n + 6 give the same floats
+        for n, *rest in sample_sweep(rng, 100):
+            assert symmetry_residual(g, n + 6, *rest) == symmetry_residual(g, n, *rest)
 
     def test_spec_sample(self):
-        r = symmetry_residual(BUILTIN["gamma"], 2, 1.5, 0.75, 1.25, 1.0, 0.5)
+        r = symmetry_residual(BUILTINS["gamma"], 2, 1.5, 0.75, 1.25, 1.0, 0.5)
         assert abs(r) <= IDENT_TOL
 
     def test_negative_control(self, rng):
-        control = Characteristic(lambda n: complex(1.0, 0.0), "g1")
-        worst = max(abs(symmetry_residual(control, *s)) for s in sample_sweep(rng))
+        worst = max(abs(symmetry_residual(CONTROL, *s)) for s in sample_sweep(rng))
         assert worst >= 1e-3
 
 
@@ -92,16 +95,16 @@ def test_sampler_draws_are_pinned():
 
 
 class TestConstraintResidual:
-    """The final constraint g(n) + g(n+3) = 0 holds exactly on the gamma table."""
+    """The final constraint g(n) + g(n+3) = 0 holds exactly on the built-in tables."""
 
     def test_all_builtins(self):
-        for char in symmetry.builtin_characteristics():
-            for n in range(48):
-                assert char.g(n) + char.g(n + 3) == 0
+        for g in BUILTINS.values():
+            for n in range(6):
+                assert g[n] + g[(n + 3) % 6] == 0
 
     def test_control(self):
-        control = Characteristic(lambda n: complex(1.0, 0.0), "g1")
-        assert control.g(11) + control.g(14) == 2
+        for n in range(6):
+            assert CONTROL[n] + CONTROL[(n + 3) % 6] == 2
 
 
 class TestInvariantCheck:
@@ -128,23 +131,29 @@ class TestInvariantCheck:
             assert v_from(scaled, n) == v_from(traj, n)
 
 
+def table_sum(d):
+    """(-1)^d + gamma^d + conj(gamma)^d, read off the three tables."""
+    return sum(g[d % 6] for g in BUILTINS.values())
+
+
 class TestWeight:
-    """(1/3)[(-1)^d + 2 Re gamma^d] on the gamma table is the integer weight,
-    exactly: the table's real parts are +-1 and +-1/2."""
+    """(1/3)[(-1)^d + 2 Re gamma^d], the sum of the three tables at d over 3,
+    is the integer weight, exactly: the tables' real parts are +-1 and +-1/2,
+    and their imaginary parts cancel."""
 
     @pytest.mark.parametrize("d,want", [(0, 1), (3, -1), (4, 0), (1, 0), (2, 0), (5, 0)])
     def test_trichotomy(self, d, want):
         assert weight(d) == want
-        assert 3 * want == (-1) ** d + 2 * gamma_power(d).real
+        assert 3 * want == table_sum(d)
 
     def test_matches_float_formula(self):
         for d in range(-48, 49):
-            assert 3 * weight(d) == (-1) ** (d % 2) + 2 * gamma_power(d).real
+            assert 3 * weight(d) == table_sum(d)
 
 
 def hh(n, k):
-    """The kernel gamma^n conj(gamma)^k on the gamma table."""
-    return gamma_power(n) * gamma_power(k).conjugate()
+    """The kernel gamma^n conj(gamma)^k on the gamma tables."""
+    return BUILTINS["gamma"][n % 6] * BUILTINS["gamma-conjugate"][k % 6]
 
 
 class TestHH:

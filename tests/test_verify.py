@@ -22,6 +22,13 @@ class TestSkips:
         with pytest.raises(_Skip):
             check_instance(ic, UNIT_STREAM, 3)
 
+    def test_random_seeds_are_nonzero(self):
+        # numerators come from +-1..+-9, so run_verification never meets the
+        # seed gate: every skip it counts is a singular iteration
+        rng = random.Random(0)
+        for _ in range(1000):
+            assert 0 not in verify.random_seeds(rng).as_tuple()
+
     def test_singular_at_step_0(self):
         stream = CoefficientStream.periodic([(-1, 1), (2, 1)])
         with pytest.raises(_Skip):
