@@ -20,13 +20,15 @@ against the iteration oracle.
 ``x_closed`` evaluates that block product for one index.  ``x_closed_all``
 needs no block product: V's own definition V_t = 1/(x_{t-3} x_t), inverted,
 is x_t = 1/(x_{t-3} V_t) for every t >= 0, a 3-step recursion from the seeds.
-So the batch values check the V reduction at every index, and only
-``x_closed`` checks the strided product.
+So a batch value equals the iterated x_t exactly when V_t = 1/(x_{t-3} x_t);
+``verify`` checks that identity directly, V_t against the iteration's window
+product, and only ``x_closed`` forms the strided product.
 
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are
 all nonzero.  ``_v_checked`` is the one place that rule is tested:
-``x_closed`` and ``x_closed_all`` read their values from one checked fold.
+``x_closed``, ``x_closed_all`` and ``verify`` read their values from one
+checked fold.
 
 Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the

@@ -132,11 +132,13 @@ class SingularReport:
 class Trajectory:
     """Exact values x_{-3}, x_{-2}, ... with optional singular truncation.
 
-    ``values[i]`` is x_{i-3}.  When ``singular`` is set, the values stop
-    right before the step that failed and nothing follows.
+    ``values[i]`` is x_{i-3}; ``products[n]`` is step n's window product
+    x_{n-3} x_n.  When ``singular`` is set, the values stop right before
+    the step that failed and nothing follows.
     """
 
     values: Tuple[Rational, ...]
+    products: Tuple[Rational, ...]
     singular: Optional[SingularReport] = field(default=None)
 
     @property

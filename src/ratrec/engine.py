@@ -11,8 +11,9 @@ ways, checked in this order and kept apart: ``zero-x-factor`` (x_{n-2} = 0,
 the forbidden-set flavour) and ``zero-bracket`` (a dynamical collision:
 a_n/p + b_n = 0, or a_n = 0 when p = 0; otherwise p = 0 gives x_{n+1} = 0).
 Singularity is sticky: no values are produced past the first failure.
-The reduced values V_n = 1/(x_{n-3} x_n) are folded by ``reduced``, not
-read off a trajectory: the iteration stays the closed form's oracle.
+``Trajectory.products`` keeps the p of every step taken.  The reduced
+values V_n = 1/(x_{n-3} x_n) are folded by ``reduced``, not read off a
+trajectory: the iteration stays the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ class SingularityError(ZeroDivisionError):
         self.report = report
 
 
-def step(x_nm3: Rational, x_nm2: Rational, x_n: Rational,
-         a_n: Rational, b_n: Rational, n: int = 0) -> Rational:
-    """One application of the recurrence on an exact field scalar; raises
-    SingularityError if the denominator vanishes."""
+def step(x_nm2: Rational, p: Rational, a_n: Rational, b_n: Rational,
+         n: int = 0) -> Rational:
+    """x_{n+1} from x_{n-2} and p = x_{n-3} x_n, on an exact field scalar;
+    raises SingularityError if the denominator vanishes."""
     if x_nm2 == 0:
         raise SingularityError(SingularReport(step=n, cause=ZERO_X_FACTOR))
-    p = x_nm3 * x_n
     bracket = a_n / p + b_n if p != 0 else a_n
     if bracket == 0:
         raise SingularityError(SingularReport(step=n, cause=ZERO_BRACKET))
@@ -59,13 +59,16 @@ def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> T
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     values: List[Rational] = list(ic.as_tuple())
+    products: List[Rational] = []
     for n in range(horizon):
         a_n, b_n = coeffs.at(n)
         # window: x_{n-3}, x_{n-2}, x_n sit at list offsets n, n+1, n+3
+        p = values[n] * values[n + 3]
         try:
-            nxt = step(values[n], values[n + 1], values[n + 3], a_n, b_n, n=n)
+            nxt = step(values[n + 1], p, a_n, b_n, n=n)
         except SingularityError as exc:
-            return Trajectory(values=tuple(values), singular=exc.report)
+            return Trajectory(tuple(values), tuple(products), exc.report)
         values.append(nxt)
-    return Trajectory(values=tuple(values))
+        products.append(p)
+    return Trajectory(tuple(values), tuple(products))
 

@@ -2,9 +2,10 @@
 
 Draws random rational seeds and coefficient streams (numerators from
 [-9, 9], denominators from [1, 9]; only a coefficient b may be 0), iterates
-the recurrence exactly, and compares the batch closed form with it at every
-index (which decides the V-reduction identity) and the per-index block
-product at three indices, plus a symmetry-residual sweep.
+the recurrence exactly, and checks at every index that the folded V_t is
+1/p_t for the iteration's own window product p_t = x_{t-3} x_t (the
+V-reduction identity), and the per-index block product at three indices,
+plus a symmetry-residual sweep.
 Instances that hit a singularity are skipped and counted, not failed.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ratrec.closed_form import x_closed, x_closed_all
+from ratrec.closed_form import _v_checked, x_closed
 from ratrec.core import CoefficientStream, InitialConditions, Rational
 from ratrec.engine import iterate
 from ratrec import symmetry
@@ -73,13 +74,13 @@ class VerificationReport:
 
 def check_instance(ic: InitialConditions, stream: CoefficientStream,
                    horizon: int) -> Optional[Witness]:
-    """Compare the batch closed form with the iteration at every index.
+    """Check the V reduction at every index, and the block product at three.
 
-    ``x_closed_all`` sets x_k = 1/(x_{k-3} V_k) from the fold of
-    V_{k+1} = a_k V_k + b_k, so it matches the iteration exactly when every
-    folded V_k is 1/(x_{k-3} x_k): the loop checks the V reduction at every
-    index.  Only ``x_closed`` forms the paper's strided block product, and
-    it is checked at indices 0, min(7, horizon) and horizon.
+    Each V_t of the closed form's checked fold must equal 1/p_t for the
+    iteration's window product p_t = x_{t-3} x_t, exactly when the batch
+    value x_t = 1/(x_{t-3} V_t) equals the iterated one: a witness names
+    that batch value.  Only ``x_closed`` forms the paper's strided block
+    product, checked at indices 0, min(7, horizon) and horizon.
     Returns None on agreement, a Witness on the first mismatch; raises _Skip
     unless the iteration is regular and the seeds are nonzero, which puts
     the whole instance inside the closed form's domain.  The seed gate is for
@@ -88,16 +89,17 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
     traj = iterate(ic, stream, horizon)
     if not traj.is_regular or not ic.all_nonzero():
         raise _Skip
-    closed = x_closed_all(ic, stream, horizon)
-    for m in range(-3, horizon + 1):
-        if closed[m + 3] != traj.x(m):
-            return Witness(ic, stream, m, traj.x(m), closed[m + 3])
+    vs = _v_checked(ic, stream, horizon)
+    # V_0 = 1/p_0 is the fold's start; no step formed p_horizon
+    for t in range(1, horizon + 1):
+        p = traj.products[t] if t < horizon else traj.x(t - 3) * traj.x(t)
+        if vs[t] * p != 1:
+            return Witness(ic, stream, t, traj.x(t), 1 / (traj.x(t - 3) * vs[t]))
     # the strided block product: spot-check the per-index entry point
-    # against the batch values
     for m in (0, min(7, horizon), horizon):
         got = x_closed(ic, stream, m)
-        if got != closed[m + 3]:
-            return Witness(ic, stream, m, closed[m + 3], got)
+        if got != traj.x(m):
+            return Witness(ic, stream, m, traj.x(m), got)
     return None
 
 

@@ -4,8 +4,9 @@ from math import prod
 
 import pytest
 
-from ratrec import verify
+from ratrec import closed_form
 from ratrec.core import CoefficientStream, InitialConditions
+from ratrec.engine import iterate
 
 
 def rand_rational(rng, nonzero=True):
@@ -140,10 +141,33 @@ def rng():
     return random.Random(20260826)
 
 
+def corrupt_fold(monkeypatch, fault):
+    """Make the closed form read fault(t, V_t) in place of each V_t of its
+    one checked fold; the fold itself runs on the true values."""
+    true_fold = closed_form.v_values
+    monkeypatch.setattr(closed_form, "v_values", lambda v0, coeffs, n: (
+        fault(t, v) for t, v in enumerate(true_fold(v0, coeffs, n))))
+
+
+FAULT_INDEX = 5  # the first V that ``corrupt_closed_form`` doubles
+
+
 @pytest.fixture
 def corrupt_closed_form(monkeypatch):
-    """Negative control: verify's batch closed form is off by 1 from x_1 on,
-    so every instance that verify runs must give a witness."""
-    true_all = verify.x_closed_all
-    monkeypatch.setattr(verify, "x_closed_all", lambda ic, stream, horizon: [
-        x + (m >= 1) for m, x in enumerate(true_all(ic, stream, horizon), start=-3)])
+    """Negative control: the closed form's V_t is doubled from V_5 on, so
+    every instance that verify runs at a horizon of 5 or more must give a
+    witness at index 5, where the batch value 1/(x_2 * 2 V_5) is half of
+    x_5.  Returns a check of a CLI verify record's witness fields."""
+    corrupt_fold(monkeypatch, lambda t, v: 2 * v if t >= FAULT_INDEX else v)
+
+    def check(record):
+        ic = InitialConditions.of(*record["witness_seeds"].split(","))
+        kind, pairs = record["witness_stream"].split(":")
+        stream = CoefficientStream(kind, tuple(
+            tuple(map(Fraction, pair.split(","))) for pair in pairs.split(";")))
+        x = iterate(ic, stream, FAULT_INDEX).x(FAULT_INDEX)
+        assert int(record["witness_index"]) == FAULT_INDEX
+        assert Fraction(record["witness_expected"]) == x
+        assert Fraction(record["witness_got"]) == x / 2
+
+    return check

@@ -221,11 +221,11 @@ def test_criterion_9_cli_contract(tmp_path, request):
     out_ok = tmp_path / "verify.jsonl"
     assert main(base + ["--output", "jsonl", "--out", str(out_ok)]) == 0
 
-    request.getfixturevalue("corrupt_closed_form")
+    check_witness = request.getfixturevalue("corrupt_closed_form")
     out_bad = tmp_path / "corrupt.jsonl"
     assert main(base + ["--output", "jsonl", "--out", str(out_bad)]) == 1
-    recs = [json.loads(line) for line in out_bad.read_text().splitlines()]
-    assert any("witness_index" in r for r in recs)
+    [rec] = [json.loads(line) for line in out_bad.read_text().splitlines()]
+    check_witness(rec)
 
     jql = tmp_path / "it.jsonl"
     csvp = tmp_path / "it.csv"
@@ -239,5 +239,5 @@ def test_criterion_9_cli_contract(tmp_path, request):
     for j, c in zip(jrecs, crecs):
         assert list(j) == list(c)
         assert {k: str(v) for k, v in j.items()} == c
-    report(9, True, "verify exits 0, a corrupted closed form exits 1 with witness, "
+    report(9, True, "verify exits 0, a corrupted V fold exits 1 with its witness, "
                    "CSV == JSONL")

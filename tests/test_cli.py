@@ -351,9 +351,9 @@ class TestVerifyMode:
                          "--trials", "25", "--horizon", "60", "--seed", "0",
                          tmp_path=tmp_path)
         assert code == 1
-        recs = jsonl_records(text)
-        assert recs[0]["all_exact_match"] is False
-        assert any("witness_index" in r for r in recs)
+        [rec] = jsonl_records(text)
+        assert rec["all_exact_match"] is False
+        corrupt_closed_form(rec)
 
     def test_horizon_zero(self, config_path, tmp_path):
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
@@ -388,7 +388,8 @@ class TestVerifyMode:
         assert code == 1
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 1
-        assert rows[0]["all_exact_match"] == "False" and rows[0]["witness_index"]
+        assert rows[0]["all_exact_match"] == "False"
+        corrupt_closed_form(rows[0])
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_library_rejects_empty_run(self, trials):

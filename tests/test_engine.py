@@ -26,10 +26,11 @@ def literal_step(x_nm3, x_nm2, x_n, a_n, b_n):
     return x_nm3 * x_n / (x_nm2 * (a_n + b_n * x_nm3 * x_n))
 
 
-def step_outcome(*args):
-    """``step``'s value, or the cause of the SingularityError it raised."""
+def step_outcome(x_nm3, x_nm2, x_n, a_n, b_n):
+    """``step``'s value on the window, or the cause of the SingularityError
+    it raised."""
     try:
-        return step(*args)
+        return step(x_nm2, x_nm3 * x_n, a_n, b_n)
     except SingularityError as exc:
         return exc.report.cause
 
@@ -42,38 +43,39 @@ def cause_of(*args, n=0):
 
 class TestStep:
     def test_unit_seeds(self):
-        assert step(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)) == Fraction(1, 2)
+        assert step(Fraction(1), Fraction(1), Fraction(1), Fraction(1)) == Fraction(1, 2)
 
     def test_b_zero_reduces(self):
-        assert step(Fraction(5), Fraction(3), Fraction(2), Fraction(1), Fraction(0)) == Fraction(10, 3)
-        assert step(Fraction(2), Fraction(4), Fraction(6), Fraction(1), Fraction(0)) == 3
+        # x_{n-3} x_n / x_{n-2}: 5 * 2 / 3 and 2 * 6 / 4
+        assert step(Fraction(3), Fraction(5 * 2), Fraction(1), Fraction(0)) == Fraction(10, 3)
+        assert step(Fraction(4), Fraction(2 * 6), Fraction(1), Fraction(0)) == 3
 
     def test_zero_bracket(self):
         with pytest.raises(SingularityError) as exc:
-            step(Fraction(1), Fraction(1), Fraction(-1), Fraction(1), Fraction(1))
+            step(Fraction(1), Fraction(-1), Fraction(1), Fraction(1))
         assert exc.value.report.cause == ZERO_BRACKET
         # p = -1: a_n/p + b_n = -1 + 1 vanishes, and x_{n-2} = 2 does not
-        assert cause_of(*map(Fraction, (1, 2, -1, 1, 1)), n=6) == (6, ZERO_BRACKET)
+        assert cause_of(*map(Fraction, (2, -1, 1, 1)), n=6) == (6, ZERO_BRACKET)
 
     def test_zero_x_factor(self):
         with pytest.raises(SingularityError) as exc:
-            step(Fraction(1), Fraction(0), Fraction(1), Fraction(1), Fraction(1), n=5)
+            step(Fraction(0), Fraction(1), Fraction(1), Fraction(1), n=5)
         assert exc.value.report.cause == ZERO_X_FACTOR
         assert exc.value.report.step == 5
 
     @pytest.mark.parametrize("x_nm3, x_n", [(0, 3), (3, 0), (0, 0)])
     def test_zero_product_gives_zero(self, x_nm3, x_n):
         # p = x_{n-3} x_n = 0: the bracket is a_n != 0, so x_{n+1} = 0
-        value = step(Fraction(x_nm3), Fraction(2), Fraction(x_n), Fraction(-5, 3), Fraction(7))
+        value = step(Fraction(2), Fraction(x_nm3) * x_n, Fraction(-5, 3), Fraction(7))
         assert value == 0 and type(value) is Fraction
 
     def test_zero_product_zero_a(self):
         # p = 0 and a_n = 0: the bracket a_n + b_n p vanishes, whatever b_n is
-        assert cause_of(*map(Fraction, (0, 2, 5, 0, 7)), n=4) == (4, ZERO_BRACKET)
+        assert cause_of(*map(Fraction, (2, 0, 0, 7)), n=4) == (4, ZERO_BRACKET)
 
     def test_zero_x_factor_checked_first(self):
         # x_{n-2} = 0 wins even when p = 0 and a_n = 0 make the bracket vanish too
-        assert cause_of(*map(Fraction, (0, 0, 5, 0, 7)), n=2) == (2, ZERO_X_FACTOR)
+        assert cause_of(*map(Fraction, (0, 0, 0, 7)), n=2) == (2, ZERO_X_FACTOR)
 
     @pytest.mark.parametrize("scalar", [Fraction, GF], ids=["fraction", "gf"])
     def test_matches_literal_formula(self, rng, scalar):
@@ -96,6 +98,8 @@ class TestIterate:
         assert traj.x(2) == Fraction(1, 3)
         assert traj.x(3) == Fraction(1, 4)
         assert traj.is_regular
+        # p_n = 1/V_n for V_n = n + 1
+        assert traj.products == (1, Fraction(1, 2), Fraction(1, 3))
 
     def test_fixed_point(self):
         traj = iterate(ONES, CoefficientStream.constant(1, 0), 6)
@@ -108,6 +112,7 @@ class TestIterate:
         assert traj.singular.step == 0
         assert traj.singular.cause == ZERO_BRACKET
         assert traj.last_index == 0  # sticky: nothing past the failure
+        assert traj.products == ()  # the failed step's product is not kept
 
     def test_depends_only_on_window(self):
         # x_1 only reads x_{-3}, x_{-2}, x_0; perturbing x_{-1} cannot change it
@@ -122,6 +127,25 @@ class TestIterate:
             traj.x(3)
         with pytest.raises(IndexError):
             traj.x(-4)
+
+    def test_products_are_the_windows(self, rng):
+        # every step's p_n = x_{n-3} x_n is kept, on regular and singular
+        # trajectories; every other instance draws from {0, +-1/2, +-1, +-2},
+        # so singular trajectories and zero products occur
+        regular, zero_products = set(), 0
+        for i in range(60):
+            if i % 2:
+                ic = InitialConditions.of(*(small_rational(rng) for _ in range(4)))
+                stream = CoefficientStream.periodic([(small_rational(rng), small_rational(rng))])
+            else:
+                ic, stream = rand_seeds(rng), rand_stream(rng, 30)
+            traj = iterate(ic, stream, 30)
+            assert len(traj.products) == traj.last_index
+            assert all(traj.products[t] == traj.x(t - 3) * traj.x(t)
+                       for t in range(traj.last_index))
+            regular.add(traj.is_regular)
+            zero_products += 0 in traj.products
+        assert regular == {True, False} and zero_products
 
 
 class TestDetectSingularity:
@@ -139,6 +163,7 @@ class TestDetectSingularity:
         # same way, until x_1 = 0 is the x_{n-2} of step 3
         traj = iterate(InitialConditions.of(0, 1, 1, 1), CoefficientStream.constant(2, 1), 6)
         assert traj.values == (0, 1, 1, 1, 0, 0, 0)
+        assert traj.products == (0, 0, 0)
         assert (traj.singular.step, traj.singular.cause) == (3, ZERO_X_FACTOR)
 
     def test_zero_seed(self):

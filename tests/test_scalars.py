@@ -70,6 +70,7 @@ class TestKernelsOverGF:
             traj, gtraj = iterate(ic, stream, HORIZON), iterate(gic, gstream, HORIZON)
             assert gtraj.singular == traj.singular
             assert_reduces(traj.values, gtraj.values)
+            assert_reduces(traj.products, gtraj.products)
             if ic.all_nonzero():
                 assert_reduces(list(v_values(1 / (ic.x_m3 * ic.x_0), stream, HORIZON)),
                                list(v_values(1 / (gic.x_m3 * gic.x_0), gstream, HORIZON)))

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ratrec import reduced, symmetry, verify
+from ratrec import closed_form, reduced, symmetry, verify
+from ratrec.closed_form import SingularClosedFormError, x_closed, x_closed_all
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
-from ratrec.verify import _Skip, check_instance, run_verification
+from ratrec.verify import Witness, _Skip, check_instance, run_verification
+from tests.conftest import corrupt_fold, v_from
+from tests.test_closed_form import small_pair, small_rational
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -54,29 +57,97 @@ class TestWitness:
         assert w.got != w.expected
 
     @pytest.mark.parametrize("entry_point, index", [
-        pytest.param("x_closed_all", 10, id="x_closed_all"),
+        pytest.param("v_fold", 10, id="v_fold"),
         pytest.param("x_closed", 10, id="x_closed"),
-        pytest.param("x_closed_all", 7, id="x_closed_all-7"),
+        pytest.param("v_fold", 7, id="v_fold-7"),
         pytest.param("x_closed", 7, id="x_closed-7"),
     ])
     def test_fault_at_the_horizon(self, monkeypatch, entry_point, index):
-        # one closed-form entry point off by 1 at x_index only: at the horizon,
-        # the last index of the identity loop and the last spot check; at 7,
-        # the middle spot check
+        # the closed form's V_index, or x_closed's x_index, off by 1 at that
+        # index only: at the horizon, the last index of the identity loop and
+        # the last spot check; at 7, the middle spot check
         horizon = 10
-        true_fn = getattr(verify, entry_point)
-        if entry_point == "x_closed_all":
-            def corrupt(ic, stream, h):
-                return [x + (m == index) for m, x in enumerate(true_fn(ic, stream, h), -3)]
-        else:
-            def corrupt(ic, stream, m):
-                return true_fn(ic, stream, m) + (m == index)
-        monkeypatch.setattr(verify, entry_point, corrupt)
         traj = iterate(ONES, UNIT_STREAM, horizon)
+        if entry_point == "v_fold":
+            corrupt_fold(monkeypatch, lambda t, v: v + (t == index))
+            # the batch value 1/(x_{index-3} V_index) of the faulty V
+            want = 1 / (traj.x(index - 3) * (v_from(traj, index) + 1))
+        else:
+            true_fn = verify.x_closed
+            monkeypatch.setattr(verify, "x_closed",
+                                lambda ic, stream, m: true_fn(ic, stream, m) + (m == index))
+            want = traj.x(index) + 1
         w = check_instance(ONES, UNIT_STREAM, horizon)
         assert w is not None and w.index == index
         assert w.expected == traj.x(index)
-        assert w.got == traj.x(index) + 1
+        assert w.got == want
+
+
+def batch_check(ic, stream, horizon):
+    """The check ``check_instance`` made when it built the batch values: the
+    batch closed form against the iteration at every index, then
+    ``x_closed`` against the batch values at three indices."""
+    traj = iterate(ic, stream, horizon)
+    if not traj.is_regular or not ic.all_nonzero():
+        raise _Skip
+    closed = x_closed_all(ic, stream, horizon)
+    for m in range(-3, horizon + 1):
+        if closed[m + 3] != traj.x(m):
+            return Witness(ic, stream, m, traj.x(m), closed[m + 3])
+    for m in (0, min(7, horizon), horizon):
+        got = x_closed(ic, stream, m)
+        if got != closed[m + 3]:
+            return Witness(ic, stream, m, closed[m + 3], got)
+    return None
+
+
+def outcome(check, ic, stream, horizon):
+    """None, a Witness, or the class of the exception the check raised."""
+    try:
+        return check(ic, stream, horizon)
+    except (_Skip, SingularClosedFormError) as exc:
+        return type(exc)
+
+
+def fold_off_at(k, c):
+    """The V fold with ``reduced.v_step`` off by c at step k only: V_{k+1}
+    is off by c, and every later V follows from it."""
+    def v_values(v0, coeffs, n):
+        v = v0
+        yield v
+        for t in range(n):
+            v = reduced.v_step(v, *coeffs.at(t)) + (c if t == k else 0)
+            yield v
+    return v_values
+
+
+def test_same_outcomes_as_the_batch_check(monkeypatch):
+    # the sampler's own instances, and every other one from {0, +-1/2, +-1,
+    # +-2}, so that zero seeds and singular iterations are skipped
+    rng = random.Random(18)
+    seen = set()
+    for i in range(240):
+        horizon = rng.randint(0, 40)
+        if i % 2:
+            ic = InitialConditions.of(*(small_rational(rng) for _ in range(4)))
+            stream = CoefficientStream.periodic(
+                [small_pair(rng) for _ in range(rng.randint(1, 6))])
+        else:
+            ic, stream = verify.random_seeds(rng), verify.random_stream(rng, horizon)
+        k, c = rng.randrange(max(horizon, 1)), verify.random_rational(rng)
+        for fault in (False, True):
+            with monkeypatch.context() as patch:
+                if fault:
+                    patch.setattr(closed_form, "v_values", fold_off_at(k, c))
+                want = outcome(batch_check, ic, stream, horizon)
+                assert outcome(check_instance, ic, stream, horizon) == want
+            seen.add((fault, want if isinstance(want, type) else type(want)))
+    assert seen >= {(False, _Skip), (False, type(None)), (True, _Skip), (True, Witness)}
+    # V_t = t + 1 on the unit instance: a fault of -5 at step 3 makes V_4
+    # vanish, and both checks raise where the fold meets it
+    monkeypatch.setattr(closed_form, "v_values", fold_off_at(3, -5))
+    assert (outcome(check_instance, ONES, UNIT_STREAM, 10)
+            is outcome(batch_check, ONES, UNIT_STREAM, 10) is SingularClosedFormError)
 
 
 def test_one_trial():
