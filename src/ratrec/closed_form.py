@@ -20,9 +20,9 @@ against the iteration oracle.
 ``x_closed`` evaluates that block product for one index.  ``x_closed_all``
 needs no block product: V's own definition V_t = 1/(x_{t-3} x_t), inverted,
 is x_t = 1/(x_{t-3} V_t) for every t >= 0, a 3-step recursion from the seeds.
-So a batch value equals the iterated x_t exactly when V_t = 1/(x_{t-3} x_t);
-``verify`` checks that identity directly, V_t against the iteration's window
-product, and only ``x_closed`` forms the strided product.
+``x_closed`` reads V_m in one factor and otherwise only earlier V, so once
+V_0..V_{m-1} are the iteration's, x_closed(m) = 1/(x_{m-3} V_m); ``verify``
+checks V on the iteration's window products, and ``x_closed`` names witnesses.
 
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are

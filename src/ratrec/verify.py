@@ -2,10 +2,10 @@
 
 Draws random rational seeds and coefficient streams (numerators from
 [-9, 9], denominators from [1, 9]; only a coefficient b may be 0), iterates
-the recurrence exactly, and checks at every index that the folded V_t is
-1/p_t for the iteration's own window product p_t = x_{t-3} x_t (the
-V-reduction identity), and the per-index block product at three indices,
-plus a symmetry-residual sweep.
+the recurrence exactly, and checks the folded V_t against the iteration's
+own window products p_t = x_{t-3} x_t (the V-reduction identity) and the
+per-index block product at three indices, plus a symmetry-residual sweep;
+every witness value comes from ``x_closed``.
 Instances that hit a singularity are skipped and counted, not failed.
 """
 
@@ -76,11 +76,11 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
                    horizon: int) -> Optional[Witness]:
     """Check the V reduction at every index, and the block product at three.
 
-    Each V_t of the closed form's checked fold must equal 1/p_t for the
-    iteration's window product p_t = x_{t-3} x_t, exactly when the batch
-    value x_t = 1/(x_{t-3} V_t) equals the iterated one: a witness names
-    that batch value.  Only ``x_closed`` forms the paper's strided block
-    product, checked at indices 0, min(7, horizon) and horizon.
+    Each V_t, t = 1..horizon-1, of the closed form's checked fold (V_0 is its
+    start) must equal 1/p_t for the window product p_t = x_{t-3} x_t that the
+    iteration formed at step t.  Only ``x_closed`` forms the paper's strided
+    block product, checked at indices 0, min(7, horizon) and horizon; the
+    last also decides V_horizon, and a witness names x_closed's value.
     Returns None on agreement, a Witness on the first mismatch; raises _Skip
     unless the iteration is regular and the seeds are nonzero, which puts
     the whole instance inside the closed form's domain.  The seed gate is for
@@ -90,12 +90,11 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
     if not traj.is_regular or not ic.all_nonzero():
         raise _Skip
     vs = _v_checked(ic, stream, horizon)
-    # V_0 = 1/p_0 is the fold's start; no step formed p_horizon
-    for t in range(1, horizon + 1):
-        p = traj.products[t] if t < horizon else traj.x(t - 3) * traj.x(t)
-        if vs[t] * p != 1:
-            return Witness(ic, stream, t, traj.x(t), 1 / (traj.x(t - 3) * vs[t]))
-    # the strided block product: spot-check the per-index entry point
+    # x_closed(m) = 1/(x_{m-3} V_m) once V_0..V_{m-1} are the iteration's 1/p:
+    # it is x_m exactly when V_m p_m = 1, so the spot check decides V_horizon
+    for t in range(1, horizon):
+        if vs[t] * traj.products[t] != 1:
+            return Witness(ic, stream, t, traj.x(t), x_closed(ic, stream, t))
     for m in (0, min(7, horizon), horizon):
         got = x_closed(ic, stream, m)
         if got != traj.x(m):

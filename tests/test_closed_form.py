@@ -15,7 +15,7 @@ from ratrec.closed_form import (
 from ratrec.core import CoefficientStream, InitialConditions, decompose_index
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
-from tests.conftest import GF, rand_seeds, rand_stream, to_gf
+from tests.conftest import GF, corrupt_fold, rand_seeds, rand_stream, to_gf, v_from
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -122,6 +122,34 @@ class TestXClosed:
                         continue
                     assert (literal_t(stream, w, 6 * s + j)
                             / literal_t(stream, w, 6 * s + j + 3)) == lo / hi
+
+
+class TestLastV:
+    """x_closed(m), m >= 1, reads V_m in its last block ratio, or in the
+    prefactor at n = 0, and every other V it reads has a lower index.  So
+    with V_0..V_{m-1} those of the iteration, x_closed(m) = 1/(x_{m-3} V_m)
+    whatever V_m is: the value ``verify`` names in a witness."""
+
+    def test_only_v_m_off(self, monkeypatch, rng):
+        checked = 0
+        for _ in range(10):
+            ic, stream = rand_seeds(rng), rand_stream(rng, 24)
+            traj = iterate(ic, stream, 24)
+            if not traj.is_regular:
+                continue
+            # every residue j = 0..5 at n = 1, 2, 3, and j = 4, 5 at n = 0
+            for m in range(1, 25):
+                c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 9))
+                v = v_from(traj, m) + c
+                if v == 0:
+                    continue
+                with monkeypatch.context() as patch:
+                    corrupt_fold(patch, lambda t, true_v: true_v + c * (t == m))
+                    got = x_closed(ic, stream, m)
+                assert got == 1 / (traj.x(m - 3) * v)
+                assert got != traj.x(m)
+            checked += 1
+        assert checked >= 5
 
 
 class TestBlockProductTree:

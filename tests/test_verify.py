@@ -55,6 +55,8 @@ class TestWitness:
         assert w is not None and w.index == k + 1
         assert w.expected == traj.x(w.index)
         assert w.got != w.expected
+        # the witness value is the closed form's, read from the same faulty fold
+        assert w.got == x_closed(ONES, stream, w.index)
 
     @pytest.mark.parametrize("entry_point, index", [
         pytest.param("v_fold", 10, id="v_fold"),
@@ -81,6 +83,29 @@ class TestWitness:
         assert w is not None and w.index == index
         assert w.expected == traj.x(index)
         assert w.got == want
+        if entry_point == "v_fold":
+            assert w.got == x_closed(ONES, UNIT_STREAM, index)
+
+    @pytest.mark.parametrize("instance", [
+        pytest.param((ONES, UNIT_STREAM), id="unit"),
+        pytest.param((InitialConditions.of(2, -1, Fraction(1, 3), 5),
+                      CoefficientStream.periodic([(2, 1), (Fraction(1, 2), -3), (-1, 4)])),
+                     id="periodic"),
+    ])
+    @pytest.mark.parametrize("horizon", range(1, 14))
+    def test_fault_at_v_horizon(self, monkeypatch, instance, horizon):
+        # V_horizon alone off: no step formed p_horizon, so the spot check
+        # x_closed(horizon) == x_horizon decides it, at every residue of the
+        # horizon, below 7 (where min(7, horizon) is the horizon) and at 7
+        ic, stream = instance
+        assert iterate(ic, stream, horizon).is_regular
+        monkeypatch.setattr(closed_form, "v_values", fold_off_at(horizon - 1, Fraction(1, 7)))
+        w, want = check_instance(ic, stream, horizon), batch_check(ic, stream, horizon)
+        assert w is not None and want is not None
+        assert w.seeds == want.seeds and w.stream == want.stream
+        assert w.index == want.index == horizon
+        assert w.expected == want.expected
+        assert w.got == want.got == x_closed(ic, stream, horizon)
 
 
 def batch_check(ic, stream, horizon):
@@ -146,6 +171,15 @@ def test_same_outcomes_as_the_batch_check(monkeypatch):
     # V_t = t + 1 on the unit instance: a fault of -5 at step 3 makes V_4
     # vanish, and both checks raise where the fold meets it
     monkeypatch.setattr(closed_form, "v_values", fold_off_at(3, -5))
+    assert (outcome(check_instance, ONES, UNIT_STREAM, 10)
+            is outcome(batch_check, ONES, UNIT_STREAM, 10) is SingularClosedFormError)
+
+
+def test_vanished_last_v_comes_before_a_witness(monkeypatch):
+    # V_t = t + 1 on the unit instance: a fault of -11 at step 3 puts V_4
+    # off, a witness at 4, and makes V_10 vanish.  The check folds to the
+    # horizon first, as the batch check does, so the domain error wins
+    monkeypatch.setattr(closed_form, "v_values", fold_off_at(3, -11))
     assert (outcome(check_instance, ONES, UNIT_STREAM, 10)
             is outcome(batch_check, ONES, UNIT_STREAM, 10) is SingularClosedFormError)
 
