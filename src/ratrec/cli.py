@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import random
@@ -153,6 +154,8 @@ def emit(records: List[Dict], fmt: str, path: Optional[str]) -> None:
     """Write the records to the file at path, or to stdout, which ``main``
     flushes.  An output that cannot be opened or written is a config error."""
     try:
+        if not path and sys.stdout is None:  # fd 1 was closed at startup
+            raise OSError("standard output is closed")
         with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
             if fmt == "jsonl":
                 out.writelines(json.dumps(rec) + "\n" for rec in records)
@@ -223,6 +226,8 @@ class _Help(argparse.Action):
     reach ``main``."""
 
     def __call__(self, parser, namespace, values, option_string=None):
+        if sys.stdout is None:  # fd 1 was closed at startup
+            raise OSError("standard output is closed")
         sys.stdout.write(parser.format_help())
         raise SystemExit(0)
 
@@ -263,34 +268,37 @@ def main(argv=None) -> int:
     commands = {"iterate": cmd_iterate, "closed": cmd_closed, "verify": cmd_verify,
                 "symmetry": cmd_symmetry}
     error = None
-    try:
-        args = build_parser().parse_args(argv)
-        cfg = load_config(args.config, **{key: value for key, value in vars(args).items()
-                                          if key in _SETTINGS and value is not None})
-        records, code = commands[args.mode](cfg)
-        # written only once the command has succeeded: an error leaves --out as it was
-        emit(records, args.output, args.out)
-    except SystemExit as exc:  # argparse, after --help or a usage error
-        code = exc.code
-    except OSError as exc:  # _Help's text, or argparse's usage text where it lets a write raise
-        code, error = 2, f"config error: cannot write help or usage text: {exc}"
-    except ConfigError as exc:
-        code, error = 2, f"config error: {exc}"
-    except (ClosedFormError, IndexError) as exc:
-        code, error = 3, f"error: {exc}"
-    # the one place a standard stream that cannot be written is handled:
-    # stdout that fails is a config error, and stderr that fails keeps the status
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        _discard(sys.stdout)
-        code, error = 2, f"config error: cannot write output <stdout>: {exc}"
-    try:
-        if error:
-            print(error, file=sys.stderr)
-        sys.stderr.flush()
-    except OSError:
-        _discard(sys.stderr)
+    # a stderr closed at startup is None: what is written there is dropped
+    with contextlib.redirect_stderr(sys.stderr or io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = load_config(args.config, **{key: value for key, value in vars(args).items()
+                                              if key in _SETTINGS and value is not None})
+            records, code = commands[args.mode](cfg)
+            # written only once the command has succeeded: an error leaves --out as it was
+            emit(records, args.output, args.out)
+        except SystemExit as exc:  # argparse, after --help or a usage error
+            code = exc.code
+        except OSError as exc:  # _Help's text, or argparse's usage text where it lets a write raise
+            code, error = 2, f"config error: cannot write help or usage text: {exc}"
+        except ConfigError as exc:
+            code, error = 2, f"config error: {exc}"
+        except (ClosedFormError, IndexError) as exc:
+            code, error = 3, f"error: {exc}"
+        # the one place a standard stream that cannot be written is handled:
+        # stdout that fails is a config error, and stderr that fails keeps the status
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as exc:
+            _discard(sys.stdout)
+            code, error = 2, f"config error: cannot write output <stdout>: {exc}"
+        try:
+            if error:
+                print(error, file=sys.stderr)
+            sys.stderr.flush()
+        except OSError:
+            _discard(sys.stderr)
     return code
 
 

@@ -25,10 +25,10 @@ V_0..V_{m-1} are the iteration's, x_closed(m) = 1/(x_{m-3} V_m); ``verify``
 checks V on the iteration's window products, and ``x_closed`` names witnesses.
 
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
-V_{t+1}/V_t, so with nonzero seeds x_m exists exactly when V_1..V_m are
-all nonzero.  ``_v_checked`` is the one place that rule is tested:
-``x_closed``, ``x_closed_all`` and ``verify`` read their values from one
-checked fold.
+V_{t+1}/V_t, so x_m exists exactly when the seeds and V_1..V_m are all
+nonzero.  ``_v_checked`` alone tests that rule, raising ``ClosedFormError``
+for a zero seed or a vanished V_t; ``x_closed``, ``x_closed_all`` and
+``verify`` read their values from its one checked fold.
 
 Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
@@ -52,27 +52,19 @@ from ratrec.reduced import v_values
 
 
 class ClosedFormError(ArithmeticError):
-    """Base for closed-form domain failures."""
-
-
-class ZeroInitialError(ClosedFormError):
-    """The closed form needs all four seeds nonzero (V_0 = 1/(x_{-3}x_0))."""
-
-
-class SingularClosedFormError(ClosedFormError):
-    """The index lies at or past the first singular step: some V_t vanished."""
+    """x_m outside the closed form's domain: a zero seed, or a vanished V_t."""
 
 
 def _v_checked(ic: InitialConditions, coeffs: CoefficientStream,
                n: int) -> List[Rational]:
-    """V_0..V_n from V_0 = 1/(x_{-3} x_0), raising at the first V_t = 0:
-    x_t, and every later value, does not exist."""
+    """V_0..V_n from V_0 = 1/(x_{-3} x_0); ClosedFormError for a zero seed,
+    then at the first V_t = 0: x_t, and every later value, does not exist."""
     if not ic.all_nonzero():
-        raise ZeroInitialError("closed form requires all four initial values nonzero")
+        raise ClosedFormError("closed form requires all four initial values nonzero")
     vs = []
     for t, v in enumerate(v_values(1 / (ic.x_m3 * ic.x_0), coeffs, n)):
         if v == 0:
-            raise SingularClosedFormError(f"V({t}) vanished: x_{t} does not exist")
+            raise ClosedFormError(f"V({t}) vanished: x_{t} does not exist")
         vs.append(v)
     return vs
 

@@ -452,7 +452,7 @@ class TestModuleEntryPoint:
     """``python -m ratrec.cli`` in a real process, read through its exit status."""
 
     def _run(self, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-             unbuffered=False):
+             unbuffered=False, closed_fd=None):
         src = os.path.dirname(os.path.dirname(ratrec.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         # stdout block-buffered, as in a plain shell, whatever runs the tests
@@ -460,8 +460,11 @@ class TestModuleEntryPoint:
                if key != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
+        # a descriptor closed in the child before Python starts leaves its
+        # standard stream None
+        preexec = None if closed_fd is None else lambda: os.close(closed_fd)
         return subprocess.run([sys.executable, "-m", "ratrec.cli", *argv],
-                              stdout=stdout, stderr=stderr,
+                              stdout=stdout, stderr=stderr, preexec_fn=preexec,
                               env={**env, "PYTHONPATH": path}, timeout=120)
 
     def test_help(self):
@@ -562,6 +565,25 @@ class TestModuleEntryPoint:
         else:
             assert proc.stdout == b""
 
+    # stderr byte for byte, for the two closed-form domain errors
+    @pytest.mark.parametrize("config, index, stderr", [
+        (TestClosedMode.SINGULAR_AT_0, "1", b"error: V(1) vanished: x_1 does not exist\n"),
+        ({**UNIT_CONFIG, "initial": {**UNIT_CONFIG["initial"], "x_m2": "0"}}, "2",
+         b"error: closed form requires all four initial values nonzero\n"),
+    ], ids=["vanished-v", "zero-seed"])
+    def test_domain_error_stderr(self, config_path, config, index, stderr):
+        proc = self._run("--config", config_path(config), "--mode", "closed", "--index", index)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", stderr)
+
+    @pytest.mark.parametrize("closed_fd, argv, status, stderr", [
+        (1, ["--mode", "iterate"], 2,
+         b"config error: cannot write output <stdout>: standard output is closed\n"),
+        (2, ["--mode", "closed", "--index", "-4"], 3, b""),
+    ], ids=["stdout", "stderr"])
+    def test_closed_descriptor(self, config_path, closed_fd, argv, status, stderr):
+        proc = self._run("--config", config_path(UNIT_CONFIG), *argv, closed_fd=closed_fd)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (status, b"", stderr)
+
     def test_closed_pipe_on_stdout(self, config_path):
         # the reader is gone before the first write, as when `| head` has exited
         read_end, write_end = os.pipe()
@@ -572,6 +594,77 @@ class TestModuleEntryPoint:
         finally:
             os.close(write_end)
         self._assert_write_error(proc)
+
+
+class TestClosedStandardStream:
+    """A standard stream closed at startup is None in ``sys``: stdout then
+    cannot be written, and stderr's messages are dropped."""
+
+    STDOUT_CLOSED = "config error: cannot write output <stdout>: standard output is closed\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "iterate"],
+        ["--mode", "iterate", "--output", "jsonl"],
+        ["--mode", "closed", "--index", "3"],
+        ["--mode", "verify", "--trials", "2"],
+        ["--mode", "symmetry", "--trials", "5", "--output", "jsonl"],
+    ], ids=["iterate", "iterate-jsonl", "closed", "verify", "symmetry-jsonl"])
+    def test_records_without_stdout(self, config_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--config", config_path(UNIT_CONFIG), *argv]) == 2
+        assert capsys.readouterr() == ("", self.STDOUT_CLOSED)
+
+    def test_help_without_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--help"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: cannot write help or usage text: standard output is closed\n")
+
+    def test_out_file_without_stdout(self, config_path, tmp_path, capsys, monkeypatch):
+        path, out = config_path(UNIT_CONFIG), tmp_path / "out.txt"
+        assert main(["--config", path, "--mode", "iterate", "--output", "jsonl"]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--config", path, "--mode", "iterate", "--output", "jsonl",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == want
+        assert capsys.readouterr() == ("", "")
+
+    # nothing is written to stdout, so its error is the one reported
+    @pytest.mark.parametrize("argv, status, err", [
+        (["--mode", "closed"], 2,
+         "config error: closed mode requires an index (--index or config)\n"),
+        (["--mode", "closed", "--index", "-4"], 3, "error: x-index must be >= -3, got -4\n"),
+    ], ids=["config-error", "domain-error"])
+    def test_errors_without_stdout(self, config_path, capsys, monkeypatch, argv, status, err):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--config", config_path(UNIT_CONFIG), *argv]) == status
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("config, argv, status", [
+        (UNIT_CONFIG, ["--mode", "closed"], 2),
+        (UNIT_CONFIG, ["--mode", "bogus"], 2),
+        (UNIT_CONFIG, ["--mode", "closed", "--index", "-4"], 3),
+        (TestClosedMode.SINGULAR_AT_0, ["--mode", "closed", "--index", "1"], 3),
+        ({**UNIT_CONFIG, "initial": {**UNIT_CONFIG["initial"], "x_m2": "0"}},
+         ["--mode", "closed", "--index", "2"], 3),
+    ], ids=["config-error", "usage-error", "domain-error", "vanished-v", "zero-seed"])
+    def test_errors_without_stderr(self, config_path, capsys, monkeypatch, config, argv,
+                                   status):
+        # the status is kept, and the message never goes to stdout
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["--config", config_path(config), *argv]) == status
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("mode", ["iterate", "closed", "verify", "symmetry"])
+    def test_records_without_stderr(self, config_path, capsys, monkeypatch, mode):
+        argv = ["--config", config_path(UNIT_CONFIG), "--mode", mode, "--index", "3",
+                "--trials", "5", "--output", "jsonl"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (want, "")
 
 
 class TestOutputFormats:

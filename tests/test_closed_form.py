@@ -5,8 +5,7 @@ import pytest
 
 from ratrec import reduced
 from ratrec.closed_form import (
-    SingularClosedFormError,
-    ZeroInitialError,
+    ClosedFormError,
     branch,
     x_closed,
     x_closed_all,
@@ -19,6 +18,12 @@ from tests.conftest import GF, corrupt_fold, rand_seeds, rand_stream, to_gf, v_f
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
+# the two messages of ClosedFormError, one per rule of the domain
+ZERO_SEED = r"^closed form requires all four initial values nonzero$"
+
+
+def vanished(t):
+    return rf"^V\({t}\) vanished: x_{t} does not exist$"
 
 
 def literal_t(stream, w, t):
@@ -77,12 +82,17 @@ class TestXClosed:
             assert x_closed(ic, UNIT_STREAM, m) == want
 
     def test_zero_seed_refused(self):
-        with pytest.raises(ZeroInitialError):
+        with pytest.raises(ClosedFormError, match=ZERO_SEED):
             x_closed(InitialConditions.of(1, 0, 1, 1), UNIT_STREAM, 3)
         # at every index, a seed's own included
         for m in range(-3, 3):
-            with pytest.raises(ZeroInitialError):
+            with pytest.raises(ClosedFormError, match=ZERO_SEED):
                 x_closed(InitialConditions.of(0, 2, 0, 3), UNIT_STREAM, m)
+        # the seeds are checked before the fold: V_0 = 1 exists and V_1
+        # vanishes on this stream, yet the zero seed is the error named
+        with pytest.raises(ClosedFormError, match=ZERO_SEED):
+            x_closed(InitialConditions.of(1, 0, 1, 1),
+                     CoefficientStream.periodic([(-1, 1), (2, 1)]), 2)
 
     def test_matches_literal_form(self, rng):
         for _ in range(6):
@@ -271,7 +281,7 @@ class TestANeg1:
             assert x_closed(ONES, stream, m) == traj.x(m)
 
     def test_base_zero_rejected(self):
-        with pytest.raises(SingularClosedFormError):
+        with pytest.raises(ClosedFormError, match=vanished(1)):
             x_closed(ONES, CoefficientStream.constant(-1, 1), 3)
 
     def test_base_zero_keeps_only_the_seeds(self):
@@ -283,7 +293,7 @@ class TestANeg1:
             assert x_closed(ONES, stream, m) == 1
         assert not iterate(ONES, stream, 1).is_regular
         for m in range(1, 13):
-            with pytest.raises(SingularClosedFormError, match=r"^V\(1\) vanished"):
+            with pytest.raises(ClosedFormError, match=vanished(1)):
                 x_closed(ONES, stream, m)
 
     def test_parity_rule_against_oracle(self, rng):
@@ -383,9 +393,11 @@ class TestDomain:
                     if m >= 0:
                         assert x_closed_all(ic, stream, m) == list(traj.values[:m + 4])
                 else:
-                    with pytest.raises(SingularClosedFormError):
+                    # the bracket of step n vanishes with V_{n+1}
+                    first = vanished(traj.singular.step + 1)
+                    with pytest.raises(ClosedFormError, match=first):
                         x_closed(ic, stream, m)
-                    with pytest.raises(SingularClosedFormError):
+                    with pytest.raises(ClosedFormError, match=first):
                         x_closed_all(ic, stream, m)
         assert singular >= 15
 
@@ -394,7 +406,7 @@ class TestDomain:
         # so x_2 does not exist although its own V is nonzero
         stream = CoefficientStream.periodic([(-1, 1), (2, 1)])
         assert not iterate(ONES, stream, 1).is_regular
-        with pytest.raises(SingularClosedFormError):
+        with pytest.raises(ClosedFormError, match=vanished(1)):
             x_closed(ONES, stream, 2)
-        with pytest.raises(SingularClosedFormError):
+        with pytest.raises(ClosedFormError, match=vanished(1)):
             x_closed_all(ONES, stream, 2)

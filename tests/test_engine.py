@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratrec.closed_form import ZeroInitialError, x_closed
+from ratrec.closed_form import ClosedFormError, x_closed
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import (
     ZERO_BRACKET,
@@ -12,7 +12,7 @@ from ratrec.engine import (
     step,
 )
 from tests.conftest import GF, rand_seeds, rand_stream, v_from
-from tests.test_closed_form import small_rational
+from tests.test_closed_form import ZERO_SEED, small_rational
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 
@@ -189,7 +189,7 @@ class TestVSequence:
         ic, stream = InitialConditions.of(1, 1, 1, 0), CoefficientStream.constant(1, 0)
         with pytest.raises(ZeroDivisionError):
             v_from(iterate(ic, stream, 0), 0)
-        with pytest.raises(ZeroInitialError):
+        with pytest.raises(ClosedFormError, match=ZERO_SEED):
             x_closed(ic, stream, 0)
 
     def test_reduction_identity_randomized(self, rng):

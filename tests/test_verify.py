@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ratrec import closed_form, reduced, symmetry, verify
-from ratrec.closed_form import SingularClosedFormError, x_closed, x_closed_all
+from ratrec.closed_form import ClosedFormError, x_closed, x_closed_all
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.verify import Witness, _Skip, check_instance, run_verification
@@ -127,11 +127,12 @@ def batch_check(ic, stream, horizon):
 
 
 def outcome(check, ic, stream, horizon):
-    """None, a Witness, or the class of the exception the check raised."""
+    """None, a Witness, or the class and message of the exception the check
+    raised: a domain error's message names the rule that fired and the index."""
     try:
         return check(ic, stream, horizon)
-    except (_Skip, SingularClosedFormError) as exc:
-        return type(exc)
+    except (_Skip, ClosedFormError) as exc:
+        return type(exc), str(exc)
 
 
 def fold_off_at(k, c):
@@ -166,13 +167,14 @@ def test_same_outcomes_as_the_batch_check(monkeypatch):
                     patch.setattr(closed_form, "v_values", fold_off_at(k, c))
                 want = outcome(batch_check, ic, stream, horizon)
                 assert outcome(check_instance, ic, stream, horizon) == want
-            seen.add((fault, want if isinstance(want, type) else type(want)))
+            seen.add((fault, want[0] if isinstance(want, tuple) else type(want)))
     assert seen >= {(False, _Skip), (False, type(None)), (True, _Skip), (True, Witness)}
     # V_t = t + 1 on the unit instance: a fault of -5 at step 3 makes V_4
     # vanish, and both checks raise where the fold meets it
     monkeypatch.setattr(closed_form, "v_values", fold_off_at(3, -5))
     assert (outcome(check_instance, ONES, UNIT_STREAM, 10)
-            is outcome(batch_check, ONES, UNIT_STREAM, 10) is SingularClosedFormError)
+            == outcome(batch_check, ONES, UNIT_STREAM, 10)
+            == (ClosedFormError, "V(4) vanished: x_4 does not exist"))
 
 
 def test_vanished_last_v_comes_before_a_witness(monkeypatch):
@@ -181,7 +183,8 @@ def test_vanished_last_v_comes_before_a_witness(monkeypatch):
     # horizon first, as the batch check does, so the domain error wins
     monkeypatch.setattr(closed_form, "v_values", fold_off_at(3, -11))
     assert (outcome(check_instance, ONES, UNIT_STREAM, 10)
-            is outcome(batch_check, ONES, UNIT_STREAM, 10) is SingularClosedFormError)
+            == outcome(batch_check, ONES, UNIT_STREAM, 10)
+            == (ClosedFormError, "V(10) vanished: x_10 does not exist"))
 
 
 def test_one_trial():
