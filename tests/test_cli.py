@@ -23,6 +23,8 @@ UNIT_CONFIG = {
     "coefficients": {"kind": "constant", "a": "1", "b": "1"},
     "horizon": 3,
 }
+# stderr when records are due on a standard output closed at startup
+STDOUT_CLOSED = "config error: cannot write output <stdout>: standard output is closed\n"
 
 
 @pytest.fixture
@@ -576,8 +578,7 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", stderr)
 
     @pytest.mark.parametrize("closed_fd, argv, status, stderr", [
-        (1, ["--mode", "iterate"], 2,
-         b"config error: cannot write output <stdout>: standard output is closed\n"),
+        (1, ["--mode", "iterate"], 2, STDOUT_CLOSED.encode()),
         (2, ["--mode", "closed", "--index", "-4"], 3, b""),
     ], ids=["stdout", "stderr"])
     def test_closed_descriptor(self, config_path, closed_fd, argv, status, stderr):
@@ -600,8 +601,6 @@ class TestClosedStandardStream:
     """A standard stream closed at startup is None in ``sys``: stdout then
     cannot be written, and stderr's messages are dropped."""
 
-    STDOUT_CLOSED = "config error: cannot write output <stdout>: standard output is closed\n"
-
     @pytest.mark.parametrize("argv", [
         ["--mode", "iterate"],
         ["--mode", "iterate", "--output", "jsonl"],
@@ -612,7 +611,7 @@ class TestClosedStandardStream:
     def test_records_without_stdout(self, config_path, capsys, monkeypatch, argv):
         monkeypatch.setattr(sys, "stdout", None)
         assert main(["--config", config_path(UNIT_CONFIG), *argv]) == 2
-        assert capsys.readouterr() == ("", self.STDOUT_CLOSED)
+        assert capsys.readouterr() == ("", STDOUT_CLOSED)
 
     def test_help_without_stdout(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", None)
