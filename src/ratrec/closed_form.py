@@ -17,18 +17,16 @@ The running index inside the block product is s; the published bounds read
 telescoped ratio V_{6s+j}/V_{6s+j+3} forces the s-reading, confirmed
 against the iteration oracle.
 
-``x_closed`` evaluates that block product for one index.  ``x_closed_all``
-needs no block product: V's own definition V_t = 1/(x_{t-3} x_t), inverted,
-is x_t = 1/(x_{t-3} V_t) for every t >= 0, a 3-step recursion from the seeds.
-``x_closed`` reads V_m in one factor and otherwise only earlier V, so once
-V_0..V_{m-1} are the iteration's, x_closed(m) = 1/(x_{m-3} V_m); ``verify``
-checks V on the iteration's window products, and ``x_closed`` names witnesses.
+``x_closed`` evaluates that block product for one index.  It reads V_m in
+one factor and otherwise only earlier V, so once V_0..V_{m-1} are the
+iteration's, x_closed(m) = 1/(x_{m-3} V_m); ``verify`` checks V on the
+iteration's window products, and ``x_closed`` names witnesses.
 
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so x_m exists exactly when the seeds and V_1..V_m are all
 nonzero.  ``_v_checked`` alone tests that rule, raising ``ClosedFormError``
-for a zero seed or a vanished V_t; ``x_closed``, ``x_closed_all`` and
-``verify`` read their values from its one checked fold.
+for a zero seed or a vanished V_t; ``x_closed`` and ``verify`` read their
+values from its one checked fold.
 
 Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
@@ -99,26 +97,9 @@ def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Ration
     n, j = decompose_index(m)
     vs = _v_checked(ic, coeffs, max(m, 0))
     seeds = ic.as_tuple()
-    # the prefactor x_{j-3}: a seed, or for j = 4, 5 the batch rule at t = j - 3
+    # the prefactor x_{j-3}: a seed, or for j = 4, 5 V's definition inverted at t = j - 3
     head = seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
     return _balanced_product([head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
-
-
-def x_closed_all(ic: InitialConditions, coeffs: CoefficientStream,
-                 horizon: int) -> List[Rational]:
-    """All closed-form values x_{-3}..x_{horizon} in O(horizon) operations:
-    x_t = 1/(x_{t-3} V_t) from the seeds, over one checked V fold.  Equal to
-    ``x_closed`` at every index, without forming its block product.
-    ``horizon`` must be >= 0, as in ``engine.iterate``.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    vs = _v_checked(ic, coeffs, horizon)
-    out = list(ic.as_tuple())
-    for t in range(1, horizon + 1):
-        # out[t] is x_{t-3}
-        out.append(1 / (out[t] * vs[t]))
-    return out
 
 
 def x_closed_constant(ic: InitialConditions, a: Rational, b: Rational, m: int) -> Rational:

@@ -61,6 +61,18 @@ def v_from(traj, k):
     return 1 / (traj.x(k - 3) * traj.x(k))
 
 
+def batch_values(ic, vs):
+    """x_{-3}..x_H from the seeds and V_0..V_H by the batch rule
+    x_t = 1/(x_{t-3} V_t), V's definition inverted, on any field scalar.
+    Takes V as given, so a test chooses the fold: ``fold_v`` for an
+    independent oracle, the package's own to reach a fault injected in it."""
+    out = list(ic.as_tuple())
+    for t in range(1, len(vs)):
+        # out[t] is x_{t-3}
+        out.append(1 / (out[t] * vs[t]))
+    return out
+
+
 def v_closed_constant(v0, a, b, n):
     """V_n for constant (a, b): v0 + n b at a = 1, else the geometric sum
     v0 a^n + b (1 - a^n) / (1 - a)."""

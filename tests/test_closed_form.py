@@ -1,4 +1,3 @@
-from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -8,13 +7,13 @@ from ratrec.closed_form import (
     ClosedFormError,
     branch,
     x_closed,
-    x_closed_all,
     x_closed_constant,
 )
 from ratrec.core import CoefficientStream, InitialConditions, decompose_index
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
-from tests.conftest import GF, corrupt_fold, rand_seeds, rand_stream, to_gf, v_from
+from tests.conftest import (
+    GF, batch_values, corrupt_fold, fold_v, rand_seeds, rand_stream, to_gf, v_from)
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -181,7 +180,8 @@ class TestBlockProductTree:
 
     def test_gf_matches_batch_to_600(self, rng):
         ic, stream = to_gf(rand_seeds(rng), rand_stream(rng, 601, kinds=("periodic", "list")))
-        batch = x_closed_all(ic, stream, 600)
+        # fold_v reads Fractions, so over GF the batch rule takes the package's fold
+        batch = batch_values(ic, list(v_values(1 / (ic.x_m3 * ic.x_0), stream, 600)))
         for m in range(-3, 601):
             got = x_closed(ic, stream, m)
             assert type(got) is GF and got == batch[m + 3]
@@ -198,23 +198,37 @@ class TestBlockProductTree:
             assert type(got) is scalar and got == scalar(value)
 
 
-class TestXClosedAll:
+def oracle_values(ic, stream, horizon):
+    """x_{-3}..x_horizon by the batch rule over V_0..V_horizon of
+    ``fold_v``: nothing of the closed form or of the package's fold."""
+    v0 = 1 / (ic.x_m3 * ic.x_0)
+    return batch_values(ic, [fold_v(v0, stream, t) for t in range(horizon + 1)])
+
+
+class TestBatchRule:
+    """The tests' batch oracle x_t = 1/(x_{t-3} V_t), checked against the
+    iteration, and ``x_closed`` against it at every index."""
+
+    def test_oracle_matches_iterate(self, rng):
+        kinds = set()
+        for _ in range(24):
+            ic, stream = rand_seeds(rng), rand_stream(rng, 40)
+            traj = iterate(ic, stream, 40)
+            if not traj.is_regular or any(v == 0 for v in traj.values):
+                continue
+            assert oracle_values(ic, stream, 40) == list(traj.values)
+            kinds.add(stream.kind)
+        assert kinds == {"constant", "periodic", "list"}
+
     def test_matches_pointwise(self, rng):
         for _ in range(8):
             ic, stream = rand_seeds(rng), rand_stream(rng, 40)
             traj = iterate(ic, stream, 37)
             if not traj.is_regular or any(v == 0 for v in traj.values):
                 continue
-            batch = x_closed_all(ic, stream, 37)
+            batch = oracle_values(ic, stream, 37)
             for m in range(-3, 38):
                 assert batch[m + 3] == x_closed(ic, stream, m)
-
-    def test_short_horizons(self):
-        # horizon >= 0, as in iterate: the seeds alone are x_closed_all(..., 0)
-        with pytest.raises(ValueError):
-            x_closed_all(ONES, UNIT_STREAM, -1)
-        assert x_closed_all(ONES, UNIT_STREAM, 0) == [Fraction(1)] * 4
-        assert x_closed_all(ONES, UNIT_STREAM, 3)[-1] == Fraction(1, 4)
 
 
 CONSTANT_GRID = [(Fraction(a), Fraction(b))
@@ -324,8 +338,8 @@ class TestANeg1:
 
 
 class TestOneFold:
-    """Each call folds V once, to max(m, 0) for ``x_closed``, whatever the
-    stream: a constant a = -1 one takes the same path as the others."""
+    """``x_closed`` folds V once, to max(m, 0), whatever the stream: a
+    constant a = -1 one takes the same path as the others."""
 
     STREAMS = (CoefficientStream.periodic([(1, 1), (2, 1), (Fraction(1, 2), 3)]),
                CoefficientStream.constant(-1, 3))
@@ -348,13 +362,6 @@ class TestOneFold:
             steps.clear()
             x_closed(ONES, stream, m)
             assert len(steps) == max(m, 0)
-
-    @pytest.mark.parametrize("horizon", [-3, 0, 1, 2, 30])
-    def test_x_closed_all(self, steps, horizon):
-        # a negative horizon is refused before the fold takes a step
-        with pytest.raises(ValueError) if horizon < 0 else nullcontext():
-            x_closed_all(ONES, self.STREAMS[0], horizon)
-        assert len(steps) == max(horizon, 0)
 
 
 def small_rational(rng, nonzero=False):
@@ -390,15 +397,11 @@ class TestDomain:
             for m in range(-3, horizon + 1):
                 if iterate(ic, stream, max(m, 0)).is_regular:
                     assert x_closed(ic, stream, m) == traj.x(m)
-                    if m >= 0:
-                        assert x_closed_all(ic, stream, m) == list(traj.values[:m + 4])
                 else:
                     # the bracket of step n vanishes with V_{n+1}
                     first = vanished(traj.singular.step + 1)
                     with pytest.raises(ClosedFormError, match=first):
                         x_closed(ic, stream, m)
-                    with pytest.raises(ClosedFormError, match=first):
-                        x_closed_all(ic, stream, m)
         assert singular >= 15
 
     def test_x2_prefactor_needs_v1(self):
@@ -408,5 +411,3 @@ class TestDomain:
         assert not iterate(ONES, stream, 1).is_regular
         with pytest.raises(ClosedFormError, match=vanished(1)):
             x_closed(ONES, stream, 2)
-        with pytest.raises(ClosedFormError, match=vanished(1)):
-            x_closed_all(ONES, stream, 2)

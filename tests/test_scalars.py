@@ -10,16 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from ratrec.closed_form import (
-    ClosedFormError,
-    x_closed,
-    x_closed_all,
-    x_closed_constant,
-)
+from ratrec import closed_form
+from ratrec.closed_form import ClosedFormError, x_closed, x_closed_constant
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
-from tests.conftest import GF, rand_seeds, rand_stream, to_gf, v_from
+from tests.conftest import GF, batch_values, rand_seeds, rand_stream, to_gf, v_from
 from tests.test_closed_form import small_pair, small_rational, vanished
 
 ONES = InitialConditions.of(1, 1, 1, 1)
@@ -46,6 +42,12 @@ def assert_reduces(exact, modular):
     assert len(modular) == len(exact)
     assert all(type(g) is GF for g in modular)
     assert modular == [GF(q) for q in exact]
+
+
+def checked_batch(ic, stream):
+    """x_{-3}..x_HORIZON by the batch rule over the closed form's checked
+    fold, or its ClosedFormError."""
+    return batch_values(ic, closed_form._v_checked(ic, stream, HORIZON))
 
 
 def instances(rng, count):
@@ -78,8 +80,8 @@ class TestKernelsOverGF:
             if traj.is_regular and 0 not in traj.values:
                 assert_reduces([v_from(traj, k) for k in range(HORIZON + 1)],
                                [v_from(gtraj, k) for k in range(HORIZON + 1)])
-            assert_reduces(outcome(x_closed_all, ic, stream, HORIZON),
-                           outcome(x_closed_all, gic, gstream, HORIZON))
+            assert_reduces(outcome(checked_batch, ic, stream),
+                           outcome(checked_batch, gic, gstream))
             for m in range(-3, HORIZON + 1):
                 assert_reduces(outcome(x_closed, ic, stream, m),
                                outcome(x_closed, gic, gstream, m))

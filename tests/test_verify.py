@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from ratrec import closed_form, reduced, symmetry, verify
-from ratrec.closed_form import ClosedFormError, x_closed, x_closed_all
+from ratrec.closed_form import ClosedFormError, x_closed
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.verify import Witness, _Skip, check_instance, run_verification
-from tests.conftest import corrupt_fold, v_from
+from tests.conftest import batch_values, corrupt_fold, v_from
 from tests.test_closed_form import small_pair, small_rational
 
 ONES = InitialConditions.of(1, 1, 1, 1)
@@ -110,12 +110,14 @@ class TestWitness:
 
 def batch_check(ic, stream, horizon):
     """The check ``check_instance`` made when it built the batch values: the
-    batch closed form against the iteration at every index, then
-    ``x_closed`` against the batch values at three indices."""
+    batch rule over the closed form's checked fold against the iteration at
+    every index, then ``x_closed`` against the batch values at three
+    indices.  The fold is ``closed_form``'s, so a fault injected in it, and
+    the ClosedFormError it raises, reach this check too."""
     traj = iterate(ic, stream, horizon)
     if not traj.is_regular or not ic.all_nonzero():
         raise _Skip
-    closed = x_closed_all(ic, stream, horizon)
+    closed = batch_values(ic, closed_form._v_checked(ic, stream, horizon))
     for m in range(-3, horizon + 1):
         if closed[m + 3] != traj.x(m):
             return Witness(ic, stream, m, traj.x(m), closed[m + 3])
