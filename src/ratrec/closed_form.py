@@ -17,16 +17,17 @@ The running index inside the block product is s; the published bounds read
 telescoped ratio V_{6s+j}/V_{6s+j+3} forces the s-reading, confirmed
 against the iteration oracle.
 
-``x_closed`` evaluates that block product for one index.  It reads V_m in
-one factor and otherwise only earlier V, so once V_0..V_{m-1} are the
-iteration's, x_closed(m) = 1/(x_{m-3} V_m); ``verify`` checks V on the
-iteration's window products, and ``x_closed`` names witnesses.
+``_block_product`` evaluates that product for one index over a given fold.
+It reads V_m in one factor and otherwise only earlier V, so once
+V_0..V_{m-1} are the iteration's, x_closed(m) = 1/(x_{m-3} V_m); ``verify``
+checks V on the iteration's window products, and its spot checks and
+witnesses are the block product over its own fold.
 
 Domain: V_t = 1/(x_{t-3} x_t) makes the bracket of step t equal to
 V_{t+1}/V_t, so x_m exists exactly when the seeds and V_1..V_m are all
 nonzero.  ``_v_checked`` alone tests that rule, raising ``ClosedFormError``
-for a zero seed or a vanished V_t; ``x_closed`` and ``verify`` read their
-values from its one checked fold.
+for a zero seed or a vanished V_t.  ``x_closed`` folds through it once per
+value and ``verify`` once per instance, each reading every V from that fold.
 
 Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
@@ -88,18 +89,22 @@ def _balanced_product(factors: List[Rational]) -> Rational:
     return _balanced_product(factors[:half]) * _balanced_product(factors[half:])
 
 
-def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Rational:
-    """x_m from the six-residue-class closed form, exactly: the prefactor
-    times the n block ratios V_{6s+j}/V_{6s+j+3} of one checked V fold, in
-    O(m) field operations for the fold and a balanced product tree over
-    the ratios.  At n = 0 the product is the prefactor alone.
-    """
-    n, j = decompose_index(m)
-    vs = _v_checked(ic, coeffs, max(m, 0))
+def _block_product(ic: InitialConditions, vs: List[Rational], n: int, j: int) -> Rational:
+    """x_m, m = 6n + j - 3, from a checked fold holding at least V_0..V_m:
+    the prefactor times the n block ratios V_{6s+j}/V_{6s+j+3}, multiplied
+    in a balanced product tree.  At n = 0 the product is the prefactor alone."""
     seeds = ic.as_tuple()
     # the prefactor x_{j-3}: a seed, or for j = 4, 5 V's definition inverted at t = j - 3
     head = seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
     return _balanced_product([head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
+
+
+def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Rational:
+    """x_m from the six-residue-class closed form, exactly: the block product
+    over one checked V fold to max(m, 0), in O(m) field operations for the
+    fold.  An index below -3 is refused before the seeds and the fold."""
+    n, j = decompose_index(m)
+    return _block_product(ic, _v_checked(ic, coeffs, max(m, 0)), n, j)
 
 
 def x_closed_constant(ic: InitialConditions, a: Rational, b: Rational, m: int) -> Rational:

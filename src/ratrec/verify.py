@@ -4,8 +4,8 @@ Draws random rational seeds and coefficient streams (numerators from
 [-9, 9], denominators from [1, 9]; only a coefficient b may be 0), iterates
 the recurrence exactly, and checks the folded V_t against the iteration's
 own window products p_t = x_{t-3} x_t (the V-reduction identity) and the
-per-index block product at three indices, plus a symmetry-residual sweep;
-every witness value comes from ``x_closed``.
+per-index block product over that one fold at three indices, plus a
+symmetry-residual sweep; every witness value is that block product's.
 Instances that hit a singularity are skipped and counted, not failed.
 """
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ratrec.closed_form import _v_checked, x_closed
-from ratrec.core import CoefficientStream, InitialConditions, Rational
+from ratrec.closed_form import _block_product, _v_checked
+from ratrec.core import CoefficientStream, InitialConditions, Rational, decompose_index
 from ratrec.engine import iterate
 from ratrec import symmetry
 
@@ -78,9 +78,9 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
 
     Each V_t, t = 1..horizon-1, of the closed form's checked fold (V_0 is its
     start) must equal 1/p_t for the window product p_t = x_{t-3} x_t that the
-    iteration formed at step t.  Only ``x_closed`` forms the paper's strided
-    block product, checked at indices 0, min(7, horizon) and horizon; the
-    last also decides V_horizon, and a witness names x_closed's value.
+    iteration formed at step t.  The block product over that same fold,
+    x_closed's value, is checked at indices 0, min(7, horizon) and horizon
+    (the last also decides V_horizon) and gives every witness its value.
     Returns None on agreement, a Witness on the first mismatch; raises _Skip
     unless the iteration is regular and the seeds are nonzero, which puts
     the whole instance inside the closed form's domain.  The seed gate is for
@@ -94,9 +94,9 @@ def check_instance(ic: InitialConditions, stream: CoefficientStream,
     # it is x_m exactly when V_m p_m = 1, so the spot check decides V_horizon
     for t in range(1, horizon):
         if vs[t] * traj.products[t] != 1:
-            return Witness(ic, stream, t, traj.x(t), x_closed(ic, stream, t))
+            return Witness(ic, stream, t, traj.x(t), _block_product(ic, vs, *decompose_index(t)))
     for m in (0, min(7, horizon), horizon):
-        got = x_closed(ic, stream, m)
+        got = _block_product(ic, vs, *decompose_index(m))
         if got != traj.x(m):
             return Witness(ic, stream, m, traj.x(m), got)
     return None

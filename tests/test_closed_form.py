@@ -12,6 +12,7 @@ from ratrec.closed_form import (
 from ratrec.core import CoefficientStream, InitialConditions, decompose_index
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
+from ratrec.verify import check_instance
 from tests.conftest import (
     GF, batch_values, corrupt_fold, fold_v, rand_seeds, rand_stream, to_gf, v_from)
 
@@ -338,8 +339,9 @@ class TestANeg1:
 
 
 class TestOneFold:
-    """``x_closed`` folds V once, to max(m, 0), whatever the stream: a
-    constant a = -1 one takes the same path as the others."""
+    """``x_closed`` folds V once, to max(m, 0), and ``check_instance`` once,
+    to its horizon, whatever the stream: a constant a = -1 one takes the
+    same path as the others."""
 
     STREAMS = (CoefficientStream.periodic([(1, 1), (2, 1), (Fraction(1, 2), 3)]),
                CoefficientStream.constant(-1, 3))
@@ -362,6 +364,16 @@ class TestOneFold:
             steps.clear()
             x_closed(ONES, stream, m)
             assert len(steps) == max(m, 0)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 5, 7, 12, 26])
+    def test_check_instance(self, steps, horizon):
+        # one fold to the horizon per instance: the spot checks at 0,
+        # min(7, horizon) and horizon read it instead of folding again
+        for stream in self.STREAMS:
+            assert iterate(ONES, stream, horizon).is_regular
+            steps.clear()
+            assert check_instance(ONES, stream, horizon) is None
+            assert len(steps) == horizon
 
 
 def small_rational(rng, nonzero=False):
@@ -411,3 +423,19 @@ class TestDomain:
         assert not iterate(ONES, stream, 1).is_regular
         with pytest.raises(ClosedFormError, match=vanished(1)):
             x_closed(ONES, stream, 2)
+
+    def test_error_order(self):
+        # the index is checked first, then the seeds, and only then does the
+        # fold read the stream
+        zero = InitialConditions.of(0, 1, 1, 1)
+        short = CoefficientStream.explicit([(1, 1)] * 3)
+        for stream in (UNIT_STREAM, short):
+            with pytest.raises(IndexError, match=r"^x-index must be >= -3, got -4$"):
+                x_closed(zero, stream, -4)
+            with pytest.raises(ClosedFormError, match=ZERO_SEED):
+                x_closed(zero, stream, 10)
+        with pytest.raises(ClosedFormError, match=ZERO_SEED):
+            x_closed(zero, UNIT_STREAM, 5)
+        with pytest.raises(IndexError, match=r"^stream index 3 beyond declared horizon 2$"):
+            x_closed(ONES, short, 4)
+        assert x_closed(ONES, short, 3) == iterate(ONES, short, 3).x(3)

@@ -60,14 +60,15 @@ class TestWitness:
 
     @pytest.mark.parametrize("entry_point, index", [
         pytest.param("v_fold", 10, id="v_fold"),
-        pytest.param("x_closed", 10, id="x_closed"),
+        pytest.param("block_product", 10, id="x_closed"),
         pytest.param("v_fold", 7, id="v_fold-7"),
-        pytest.param("x_closed", 7, id="x_closed-7"),
+        pytest.param("block_product", 7, id="x_closed-7"),
     ])
     def test_fault_at_the_horizon(self, monkeypatch, entry_point, index):
-        # the closed form's V_index, or x_closed's x_index, off by 1 at that
-        # index only: at the horizon, the last index of the identity loop and
-        # the last spot check; at 7, the middle spot check
+        # the closed form's V_index, or x_closed's x_index as verify forms it
+        # (the block product over its fold), off by 1 at that index only: at
+        # the horizon, the last index of the identity loop and the last spot
+        # check; at 7, the middle spot check
         horizon = 10
         traj = iterate(ONES, UNIT_STREAM, horizon)
         if entry_point == "v_fold":
@@ -75,9 +76,9 @@ class TestWitness:
             # the batch value 1/(x_{index-3} V_index) of the faulty V
             want = 1 / (traj.x(index - 3) * (v_from(traj, index) + 1))
         else:
-            true_fn = verify.x_closed
-            monkeypatch.setattr(verify, "x_closed",
-                                lambda ic, stream, m: true_fn(ic, stream, m) + (m == index))
+            true_fn = verify._block_product
+            monkeypatch.setattr(verify, "_block_product", lambda ic, vs, n, j:
+                                true_fn(ic, vs, n, j) + (6 * n + j - 3 == index))
             want = traj.x(index) + 1
         w = check_instance(ONES, UNIT_STREAM, horizon)
         assert w is not None and w.index == index
@@ -85,6 +86,27 @@ class TestWitness:
         assert w.got == want
         if entry_point == "v_fold":
             assert w.got == x_closed(ONES, UNIT_STREAM, index)
+
+    @pytest.mark.parametrize("fault_at", [None, 1, 4, 9])
+    def test_block_products_formed(self, monkeypatch, fault_at):
+        # the three spot checks on an instance that agrees; on a fold fault
+        # at t < horizon, the witness alone: no value is formed at an index
+        # that passed the V check
+        calls = []
+        true_fn = verify._block_product
+
+        def counted(ic, vs, n, j):
+            calls.append(6 * n + j - 3)
+            return true_fn(ic, vs, n, j)
+
+        monkeypatch.setattr(verify, "_block_product", counted)
+        if fault_at is not None:
+            corrupt_fold(monkeypatch, lambda t, v: v + (t == fault_at))
+        w = check_instance(ONES, UNIT_STREAM, 10)
+        if fault_at is None:
+            assert w is None and calls == [0, 7, 10]
+        else:
+            assert w is not None and w.index == fault_at and calls == [fault_at]
 
     @pytest.mark.parametrize("instance", [
         pytest.param((ONES, UNIT_STREAM), id="unit"),
