@@ -4,9 +4,9 @@ Draws random rational seeds and coefficient streams (numerators from
 [-9, 9], denominators from [1, 9]; only a coefficient b may be 0), iterates
 the recurrence exactly, and checks the folded V_t against the iteration's
 own window products p_t = x_{t-3} x_t (the V-reduction identity) and the
-per-index block product over that one fold at three indices, plus a
-symmetry-residual sweep; every witness value is that block product's.
-Instances that hit a singularity are skipped and counted, not failed.
+per-index block product over that one fold at three indices; every witness
+value is that block product's.  Instances that hit a singularity are skipped
+and counted, not failed.  The float symmetry-residual sweep is only reported.
 """
 
 from __future__ import annotations

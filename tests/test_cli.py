@@ -54,7 +54,8 @@ class TestConfigParsing:
         assert cfg.initial.x_0 == 1
 
     def test_unknown_top_key(self):
-        # the symmetry threshold is the constant symmetry.TOLERANCE, not a setting
+        # the symmetry verdict is exact (symmetry.is_characteristic): no
+        # threshold to set
         for key in ("bogus", "tolerance"):
             with pytest.raises(ConfigError, match="unknown config keys"):
                 parse_config({**UNIT_CONFIG, key: 1e-10})
@@ -369,18 +370,20 @@ class TestVerifyMode:
                          "--trials", "3", "--horizon", "-2", tmp_path=tmp_path)
         assert code == 2 and text == ""
 
-    @pytest.mark.parametrize("factor, status", [(1, 0), (2, 1)], ids=["at", "above"])
-    def test_symmetry_residual_decides_the_verdict(self, config_path, tmp_path,
-                                                   monkeypatch, factor, status):
-        # every instance matches, so the residual clause alone decides: a
-        # residual at most the tolerance passes, one above it fails the run
-        residual = factor * symmetry.TOLERANCE
-        monkeypatch.setattr(symmetry, "residual_sweep", lambda g, samples: residual)
+    @pytest.mark.parametrize("rejected, status", [(None, 0), ("gamma", 1)],
+                             ids=["accepted", "rejected"])
+    def test_symmetry_verdict_decides_the_exit(self, config_path, tmp_path,
+                                               monkeypatch, rejected, status):
+        # every instance matches, so the exact symmetry verdict alone decides:
+        # one built-in it rejects fails the run
+        table, exact = symmetry.BUILTINS.get(rejected), symmetry.is_characteristic
+        monkeypatch.setattr(symmetry, "is_characteristic",
+                            lambda g: g is not table and exact(g))
         code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
                          "--trials", "5", "--horizon", "10", tmp_path=tmp_path)
         assert code == status
         [rec] = jsonl_records(text)
-        assert rec["all_exact_match"] is True and rec["max_symmetry_residual"] == residual
+        assert rec["all_exact_match"] is True and rec["max_symmetry_residual"] <= 1e-10
         assert not any(key.startswith("witness") for key in rec)
 
     def test_corrupt_csv_is_one_record(self, config_path, tmp_path, corrupt_closed_form):
@@ -418,12 +421,12 @@ class TestSymmetryMode:
             assert by_label[label]["max_residual"] <= 1e-10
             assert by_label[label]["pass"] is True
         assert by_label["control-g1"]["max_residual"] >= 1e-3
-        assert by_label["control-g1"]["pass"] is True  # control must violate tolerance
+        assert by_label["control-g1"]["pass"] is True  # the control must be rejected
 
     def test_tolerance_override(self, config_path, tmp_path, monkeypatch):
-        # absurdly loose tolerance flips the control's pass column, and a
-        # failing verdict fails the run
-        monkeypatch.setattr(symmetry, "TOLERANCE", 1e6)
+        # a verdict that accepts every table flips the control's pass column,
+        # and a failing verdict fails the run
+        monkeypatch.setattr(symmetry, "is_characteristic", lambda g: True)
         code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
                          "--trials", "50", tmp_path=tmp_path)
         assert code == 1
@@ -432,16 +435,25 @@ class TestSymmetryMode:
         assert all(by_label[label]["pass"] is True
                    for label in ("alternating", "gamma", "gamma-conjugate"))
 
-    def test_residual_at_the_tolerance(self, config_path, tmp_path, monkeypatch):
-        # at the tolerance a built-in passes and the control fails
-        monkeypatch.setattr(symmetry, "residual_sweep",
-                            lambda g, samples: symmetry.TOLERANCE)
+    @pytest.mark.parametrize("residual", [0.0, 1.0])
+    def test_residual_is_only_reported(self, config_path, tmp_path, monkeypatch,
+                                       residual):
+        # whatever the float sweep reads, the records report it and every
+        # verdict and exit code stays the exact one, in both modes
+        monkeypatch.setattr(symmetry, "residual_sweep", lambda g, samples: residual)
         code, text = run(config_path(UNIT_CONFIG), "--mode", "symmetry",
                          "--trials", "2", tmp_path=tmp_path)
-        assert code == 1
-        assert {r["characteristic"]: r["pass"] for r in jsonl_records(text)} == {
+        assert code == 0
+        recs = jsonl_records(text)
+        assert {r["characteristic"]: r["pass"] for r in recs} == {
             "alternating": True, "gamma": True, "gamma-conjugate": True,
-            "control-g1": False}
+            "control-g1": True}
+        assert all(r["max_residual"] == residual for r in recs)
+        code, text = run(config_path(UNIT_CONFIG), "--mode", "verify",
+                         "--trials", "5", "--horizon", "10", tmp_path=tmp_path)
+        [rec] = jsonl_records(text)
+        assert code == 0 and rec["max_symmetry_residual"] == residual
+        assert rec["all_exact_match"] is True
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_samples_is_config_error(self, config_path, tmp_path, trials):
@@ -515,7 +527,7 @@ class TestModuleEntryPoint:
         (["--mode", "closed", "--index", "-4"], 3),
         # the negative control is a test seam, not a flag of the program
         (["--mode", "verify", "--corrupt"], 2),
-        # the symmetry threshold is a constant, not a flag
+        # the symmetry verdict is exact: no threshold, so no flag for one
         (["--mode", "symmetry", "--tolerance", "1e-10"], 2),
     ])
     def test_exit_status(self, config_path, argv, status):

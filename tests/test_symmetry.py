@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -8,8 +9,8 @@ from ratrec.closed_form import x_closed
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate, step
 from ratrec import symmetry
-from ratrec.symmetry import BUILTINS, CONTROL, symmetry_residual
-from tests.conftest import v_from, weight, weighted_product
+from ratrec.symmetry import BUILTINS, CONTROL, is_characteristic, symmetry_residual
+from tests.conftest import gamma_pow, q_mul, rand_rational, v_from, weight, weighted_product
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -106,6 +107,123 @@ class TestConstraintResidual:
     def test_control(self):
         for n in range(6):
             assert CONTROL[n] + CONTROL[(n + 3) % 6] == 2
+
+
+SHIFTS = (0, 1, 3, 4)  # the residual at n reads g at n, n+1, n+3 and n+4
+
+
+def indicator(n, s):
+    """The table of g = 1 at n + s (mod 6) and 0 elsewhere, in Fractions."""
+    return tuple(Fraction(int(k == (n + s) % 6)) for k in range(6))
+
+
+def rref(rows):
+    """The nonzero rows of the reduced row echelon form of ``rows`` over Q."""
+    rows, out = [list(r) for r in rows], []
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [c / pivot[col] for c in pivot]
+        rows = [[c - r[col] * p for c, p in zip(r, pivot)] for r in rows]
+        out = [[c - r[col] * p for c, p in zip(r, pivot)] for r in out] + [pivot]
+    return [tuple(r) for r in out]
+
+
+def derived_rows(rng, points=8):
+    """The determining equations, derived: ``symmetry_residual`` is linear in
+    (g(n), g(n+1), g(n+3), g(n+4)), so at a rational point its values on the
+    four indicator tables are one row of coefficients; the rows of ``points``
+    random points, reduced over Q."""
+    rows = []
+    for _ in range(points):
+        n = rng.randrange(0, 24)
+        u_n, u_n1, u_n3, a, b = (Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                 for _ in range(5))
+        rows.append([symmetry_residual(indicator(n, s), n, u_n, u_n1, u_n3, a, b)
+                     for s in SHIFTS])
+    return rref(rows)
+
+
+def meets(rows, g):
+    """Whether the table g meets every row at every n, exactly."""
+    return all(sum(c * g[(n + s) % 6] for c, s in zip(row, SHIFTS)) == 0
+               for row in rows for n in range(6))
+
+
+def trim(p):
+    """A coefficient list, lowest degree first, without its zero top terms."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_gcd(p, q):
+    """The monic gcd of two polynomials over Q, by Euclid's algorithm."""
+    p, q = trim(p), trim(q)
+    while q:
+        r = list(p)
+        while len(r) >= len(q):  # r mod q, one top term at a time
+            c, shift = r[-1] / q[-1], len(r) - len(q)
+            for k, v in enumerate(q):
+                r[shift + k] -= c * v
+            r.pop()
+        p, q = q, trim(r)
+    return [v / p[-1] for v in p]
+
+
+def q_eval(poly, z):
+    """poly(z) for z = p + q sqrt(-3), by Horner's rule in Q(sqrt(-3))."""
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(poly):
+        acc = q_mul(acc, z)
+        acc = (acc[0] + c, acc[1])
+    return acc
+
+
+class TestDeterminingEquations:
+    """The determining equations g(n) + g(n+3) = 0, derived exactly from the
+    residual the float sweep evaluates, and the exact verdict against them."""
+
+    def test_rows(self, rng):
+        assert derived_rows(rng) == [(1, 0, 1, 0), (0, 1, 0, 1)]
+
+    def test_verdict_agrees(self, rng):
+        rows = derived_rows(rng)
+        for g in BUILTINS.values():
+            assert is_characteristic(g) and meets(rows, g)
+        assert not is_characteristic(CONTROL) and not meets(rows, CONTROL)
+        for _ in range(100):
+            half = [rand_rational(rng, nonzero=False) for _ in range(3)]
+            g = [*half, *(-v for v in half)]
+            assert is_characteristic(g) and meets(rows, g)
+            g[rng.randrange(6)] += rand_rational(rng)
+            assert not is_characteristic(g) and not meets(rows, g)
+
+    def test_shift_polynomial(self, rng):
+        # g(n) = lambda^n meets a row (c_0, c_1, c_3, c_4) exactly when lambda
+        # is a root of sum_s c_s lambda^s; the rows' polynomials have the gcd
+        # lambda^3 + 1 = (lambda + 1)(lambda^2 - lambda + 1)
+        polys = []
+        for row in derived_rows(rng):
+            poly = [Fraction(0)] * 5
+            for c, s in zip(row, SHIFTS):
+                poly[s] = c
+            polys.append(poly)
+        cube = reduce(poly_gcd, polys)
+        assert cube == [1, 0, 0, 1]
+        roots = [(Fraction(-1), Fraction(0)), gamma_pow(1), gamma_pow(-1)]
+        assert len(set(roots)) == 3
+        for z, factor in zip(roots, ([1, 1], [1, -1, 1], [1, -1, 1])):
+            assert q_eval(cube, z) == q_eval(factor, z) == (0, 0)
+        # the three roots' powers are the built-in tables, in order
+        for g, z in zip(BUILTINS.values(), roots):
+            power = (Fraction(1), Fraction(0))
+            for k in range(6):
+                assert abs(g[k] - complex(power[0], power[1] * math.sqrt(3))) < TABLE_TOL
+                power = q_mul(power, z)
 
 
 class TestInvariantCheck:
