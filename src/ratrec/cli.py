@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -232,6 +233,7 @@ class _Help(argparse.Action):
         raise SystemExit(0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ratrec", add_help=False,
@@ -264,7 +266,8 @@ def _discard(stream) -> None:
 
 
 def main(argv=None) -> int:
-    # built per call, so a cmd_* replaced on the module (by a tracer) is the one that runs
+    # the table is built per call, so a cmd_* replaced on the module (by a
+    # tracer) is the one that runs; the parser once, by the first call
     commands = {"iterate": cmd_iterate, "closed": cmd_closed, "verify": cmd_verify,
                 "symmetry": cmd_symmetry}
     error = None

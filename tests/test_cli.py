@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -25,6 +26,23 @@ UNIT_CONFIG = {
 }
 # stderr when records are due on a standard output closed at startup
 STDOUT_CLOSED = "config error: cannot write output <stdout>: standard output is closed\n"
+# jsonl stdout of UNIT_CONFIG, by mode: (argv, bytes)
+PINNED_STDOUT = {
+    "symmetry": (
+        ["--mode", "symmetry", "--seed", "0"],
+        b'{"characteristic": "alternating", "max_residual": 3.3306690738754696e-16,'
+        b' "pass": true}\n'
+        b'{"characteristic": "gamma", "max_residual": 2.2887833992611187e-16,'
+        b' "pass": true}\n'
+        b'{"characteristic": "gamma-conjugate", "max_residual": 2.2887833992611187e-16,'
+        b' "pass": true}\n'
+        b'{"characteristic": "control-g1", "max_residual": 2.1907170707963397,'
+        b' "pass": true}\n'),
+    "verify": (
+        ["--mode", "verify", "--seed", "0", "--horizon", "30"],
+        b'{"trials_run": 100, "trials_skipped": 0,'
+        b' "max_symmetry_residual": 3.3306690738754696e-16, "all_exact_match": true}\n'),
+}
 
 
 @pytest.fixture
@@ -465,7 +483,8 @@ class TestSymmetryMode:
 class TestModuleEntryPoint:
     """``python -m ratrec.cli`` in a real process, read through its exit status."""
 
-    def _run(self, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    @staticmethod
+    def _run(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
              unbuffered=False, closed_fd=None):
         src = os.path.dirname(os.path.dirname(ratrec.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -504,20 +523,7 @@ class TestModuleEntryPoint:
 
     # the default stdout records stay byte for byte: the float residuals too,
     # so any change in how a residual is evaluated shows here
-    @pytest.mark.parametrize("argv, stdout", [
-        (["--mode", "symmetry", "--seed", "0"],
-         b'{"characteristic": "alternating", "max_residual": 3.3306690738754696e-16,'
-         b' "pass": true}\n'
-         b'{"characteristic": "gamma", "max_residual": 2.2887833992611187e-16,'
-         b' "pass": true}\n'
-         b'{"characteristic": "gamma-conjugate", "max_residual": 2.2887833992611187e-16,'
-         b' "pass": true}\n'
-         b'{"characteristic": "control-g1", "max_residual": 2.1907170707963397,'
-         b' "pass": true}\n'),
-        (["--mode", "verify", "--seed", "0", "--horizon", "30"],
-         b'{"trials_run": 100, "trials_skipped": 0,'
-         b' "max_symmetry_residual": 3.3306690738754696e-16, "all_exact_match": true}\n'),
-    ], ids=["symmetry", "verify"])
+    @pytest.mark.parametrize("argv, stdout", PINNED_STDOUT.values(), ids=PINNED_STDOUT)
     def test_pinned_stdout(self, config_path, argv, stdout):
         proc = self._run("--config", config_path(UNIT_CONFIG), "--output", "jsonl", *argv)
         assert proc.returncode == 0 and proc.stdout == stdout
@@ -607,6 +613,47 @@ class TestModuleEntryPoint:
         finally:
             os.close(write_end)
         self._assert_write_error(proc)
+
+
+class TestOneParser:
+    """``main`` parses every call with one parser, built at its first call:
+    a call answers as it does run alone, whatever calls came before it."""
+
+    # each call: (argv, its pinned stdout, or None to run it alone in a child)
+    @pytest.mark.parametrize("calls", [
+        [(["--mode", "iterate", "--horizon", "5"], None), (["--mode", "iterate"], None)],
+        [(["--mode", "bogus"], None), PINNED_STDOUT["symmetry"]],
+        [(["--help"], None), PINNED_STDOUT["verify"]],
+    ], ids=["flag-then-without", "usage-error-then-valid", "help-then-valid"])
+    def test_calls_in_one_process(self, config_path, capsys, monkeypatch, calls):
+        # help and usage text wrap at the same width here and in the child
+        monkeypatch.setenv("COLUMNS", "80")
+        path = config_path(UNIT_CONFIG)
+        for argv, pinned in calls:
+            argv = ["--config", path, "--output", "jsonl", *argv]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if pinned is None:
+                alone = TestModuleEntryPoint._run(*argv)
+                want = alone.returncode, alone.stdout, alone.stderr
+            else:
+                want = 0, pinned, b""
+            assert (code, out.encode(), err.encode()) == want
+
+    def test_parser_built_once(self, config_path, capsys, monkeypatch):
+        argv = ["--config", config_path(UNIT_CONFIG), "--mode", "iterate"]
+        assert main(argv) == 0  # the parser may be built here, and only here
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(5):
+            assert main(argv) == 0
+        assert len(built) == 0
 
 
 class TestClosedStandardStream:

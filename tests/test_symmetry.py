@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,11 @@ import pytest
 from ratrec.closed_form import x_closed
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate, step
+from ratrec.reduced import v_step
 from ratrec import symmetry
 from ratrec.symmetry import BUILTINS, CONTROL, is_characteristic, symmetry_residual
-from tests.conftest import gamma_pow, q_mul, rand_rational, v_from, weight, weighted_product
+from tests.conftest import (gamma_pow, q_mul, rand_rational, rand_seeds, rand_stream, v_from,
+                            weight, weighted_product)
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -174,6 +177,37 @@ def poly_gcd(p, q):
     return [v / p[-1] for v in p]
 
 
+def derived_cube(rng):
+    """The monic gcd in Q[lambda] of the derived rows' shift polynomials:
+    g(n) = lambda^n meets a row (c_0, c_1, c_3, c_4) exactly when lambda is
+    a root of sum_s c_s lambda^s."""
+    polys = []
+    for row in derived_rows(rng):
+        poly = [Fraction(0)] * 5
+        for c, s in zip(row, SHIFTS):
+            poly[s] = c
+        polys.append(poly)
+    return reduce(poly_gcd, polys)
+
+
+def q_pow(z, k):
+    """z^k in Q(sqrt(-3)) for k >= 0, by exact repeated multiplication."""
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = q_mul(out, z)
+    return out
+
+
+def generator_factor(g, n, exponents):
+    """X = sum_k g(k) u_k d/du_k on the monomial prod_s u_{n+s}^{e_s}, g(k)
+    read from the table g in Q(sqrt(-3)) at k mod 6: each u_k d/du_k
+    multiplies the monomial by its exponent e_k, so X multiplies it by
+    sum_s e_s g(n+s), the factor returned."""
+    terms = [(e * g[(n + s) % 6][0], e * g[(n + s) % 6][1])
+             for s, e in enumerate(exponents)]
+    return sum(p for p, _ in terms), sum(q for _, q in terms)
+
+
 def q_eval(poly, z):
     """poly(z) for z = p + q sqrt(-3), by Horner's rule in Q(sqrt(-3))."""
     acc = (Fraction(0), Fraction(0))
@@ -203,16 +237,8 @@ class TestDeterminingEquations:
             assert not is_characteristic(g) and not meets(rows, g)
 
     def test_shift_polynomial(self, rng):
-        # g(n) = lambda^n meets a row (c_0, c_1, c_3, c_4) exactly when lambda
-        # is a root of sum_s c_s lambda^s; the rows' polynomials have the gcd
-        # lambda^3 + 1 = (lambda + 1)(lambda^2 - lambda + 1)
-        polys = []
-        for row in derived_rows(rng):
-            poly = [Fraction(0)] * 5
-            for c, s in zip(row, SHIFTS):
-                poly[s] = c
-            polys.append(poly)
-        cube = reduce(poly_gcd, polys)
+        # the gcd is lambda^3 + 1 = (lambda + 1)(lambda^2 - lambda + 1)
+        cube = derived_cube(rng)
         assert cube == [1, 0, 0, 1]
         roots = [(Fraction(-1), Fraction(0)), gamma_pow(1), gamma_pow(-1)]
         assert len(set(roots)) == 3
@@ -224,6 +250,50 @@ class TestDeterminingEquations:
             for k in range(6):
                 assert abs(g[k] - complex(power[0], power[1] * math.sqrt(3))) < TABLE_TOL
                 power = q_mul(power, z)
+
+
+class TestOrderLowering:
+    """The paper's order lowering, from the derived equations to ``reduced``,
+    exactly: each root lambda of the derived cube is the characteristic
+    g(k) = lambda^k, whose generator X = sum_k g(k) u_k d/du_k kills
+    w_n = u_n u_{n+3}; on a trajectory, V_n = 1/w_n then folds by
+    ``reduced.v_step``."""
+
+    @staticmethod
+    def root_tables(rng):
+        """g(0)..g(5) for each root of the derived cube, found among the
+        sixth roots of unity gamma^d."""
+        cube = derived_cube(rng)
+        roots = [z for z in map(gamma_pow, range(6)) if q_eval(cube, z) == (0, 0)]
+        assert len(roots) == len(cube) - 1  # every root of the cube
+        return [[q_pow(z, k) for k in range(6)] for z in roots]
+
+    def test_generator_kills_w(self, rng):
+        tables = self.root_tables(rng)
+        for g in tables:
+            assert q_mul(g[5], g[1]) == (1, 0)  # lambda^6 = 1: g has period 6
+        # the monomials u_n^e0 u_{n+1}^e1 u_{n+2}^e2 u_{n+3}^e3, e in {-1, 0, 1},
+        # that every root's generator kills at every n: w and 1/w alone
+        kernel = [e for e in itertools.product((-1, 0, 1), repeat=4) if any(e)
+                  and all(generator_factor(g, n, e) == (0, 0) for g in tables for n in range(6))]
+        assert kernel == [(-1, 0, 0, -1), (1, 0, 0, 1)]
+        # the control g = 1 sends w to 2 w
+        assert not any(z.imag for z in CONTROL)
+        control = [(Fraction(z.real), Fraction(0)) for z in CONTROL]
+        for n in range(6):
+            assert generator_factor(control, n, (1, 0, 0, 1)) == (2, 0)
+
+    def test_v_folds_by_v_step(self, rng):
+        steps = 0
+        for _ in range(40):
+            stream = rand_stream(rng, 30)
+            traj = iterate(rand_seeds(rng), stream, 30)
+            # V_n = 1/w_n with u_k = x_{k-3}: 1/(x_{n-3} x_n)
+            v = [v_from(traj, n) for n in range(traj.last_index + 1)]
+            for n in range(len(v) - 1):
+                assert v[n + 1] == v_step(v[n], *stream.at(n))
+            steps += len(v) - 1
+        assert steps >= 40 * 15
 
 
 class TestInvariantCheck:
