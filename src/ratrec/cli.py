@@ -78,8 +78,9 @@ _SETTINGS = {
     "trials": (1, "trial/sample count"),
     "seed": (None, "RNG seed"),
 }
+_MODES = ("iterate", "closed", "verify", "symmetry")  # each runs cmd_<mode>
 _TOP_KEYS = {"initial", "coefficients", *_SETTINGS}
-_INITIAL_KEYS = {"x_m3", "x_m2", "x_m1", "x_0"}
+_INITIAL_KEYS = ("x_m3", "x_m2", "x_m1", "x_0")  # x_{-3}..x_0, in constructor order
 _COEFF_KEYS = {"constant": {"kind", "a", "b"}, "periodic": {"kind", "pairs"},
                "list": {"kind", "pairs"}}
 
@@ -106,17 +107,17 @@ def parse_config(raw: dict, **flags) -> RunConfig:
             raise ConfigError(f"config missing required key {key!r}")
 
     init = raw["initial"]
-    if not isinstance(init, dict) or set(init) != _INITIAL_KEYS:
+    if not isinstance(init, dict) or set(init) != set(_INITIAL_KEYS):
         raise ConfigError(f"initial must have exactly keys {sorted(_INITIAL_KEYS)}")
     try:
-        ic = InitialConditions(*(parse_rational(init[k])
-                                 for k in ("x_m3", "x_m2", "x_m1", "x_0")))
+        ic = InitialConditions(*(parse_rational(init[k]) for k in _INITIAL_KEYS))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad initial value: {exc}")
 
     co = raw["coefficients"]
     kind = co.get("kind") if isinstance(co, dict) else None
-    if kind not in ("constant", "periodic", "list"):
+    # a JSON array or object is unhashable, so it cannot be looked up
+    if not isinstance(kind, str) or kind not in _COEFF_KEYS:
         raise ConfigError(f"coefficients.kind must be constant|periodic|list, got {kind!r}")
     if set(co) != _COEFF_KEYS[kind]:
         raise ConfigError(f"bad coefficients: {kind} takes exactly {sorted(_COEFF_KEYS[kind])}")
@@ -243,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-h", "--help", action=_Help, nargs=0, default=argparse.SUPPRESS,
                    help="show this help message and exit")
     p.add_argument("--config", required=True, help="JSON config file")
-    p.add_argument("--mode", required=True,
-                   choices=["iterate", "closed", "verify", "symmetry"])
+    p.add_argument("--mode", required=True, choices=_MODES)
     for key, (_, text) in _SETTINGS.items():
         # named, not passed as default=: main reads every flag that is not None
         # as an override of the config
@@ -266,10 +266,6 @@ def _discard(stream) -> None:
 
 
 def main(argv=None) -> int:
-    # the table is built per call, so a cmd_* replaced on the module (by a
-    # tracer) is the one that runs; the parser once, by the first call
-    commands = {"iterate": cmd_iterate, "closed": cmd_closed, "verify": cmd_verify,
-                "symmetry": cmd_symmetry}
     error = None
     # a stderr closed at startup is None: what is written there is dropped
     with contextlib.redirect_stderr(sys.stderr or io.StringIO()):
@@ -277,7 +273,9 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             cfg = load_config(args.config, **{key: value for key, value in vars(args).items()
                                               if key in _SETTINGS and value is not None})
-            records, code = commands[args.mode](cfg)
+            # looked up per call, so a cmd_* replaced on the module (by a
+            # tracer) is the one that runs
+            records, code = globals()["cmd_" + args.mode](cfg)
             # written only once the command has succeeded: an error leaves --out as it was
             emit(records, args.output, args.out)
         except SystemExit as exc:  # argparse, after --help or a usage error

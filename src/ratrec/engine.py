@@ -33,20 +33,17 @@ ZERO_BRACKET = "zero-bracket"
 
 
 class SingularityError(ZeroDivisionError):
-    def __init__(self, report: SingularReport):
-        super().__init__(f"singular at step {report.step}: {report.cause}")
-        self.report = report
+    """A vanishing denominator; its one argument is the cause."""
 
 
-def step(x_nm2: Rational, p: Rational, a_n: Rational, b_n: Rational,
-         n: int = 0) -> Rational:
+def step(x_nm2: Rational, p: Rational, a_n: Rational, b_n: Rational) -> Rational:
     """x_{n+1} from x_{n-2} and p = x_{n-3} x_n, on an exact field scalar;
-    raises SingularityError if the denominator vanishes."""
+    raises SingularityError with the cause if the denominator vanishes."""
     if x_nm2 == 0:
-        raise SingularityError(SingularReport(step=n, cause=ZERO_X_FACTOR))
+        raise SingularityError(ZERO_X_FACTOR)
     bracket = a_n / p + b_n if p != 0 else a_n
     if bracket == 0:
-        raise SingularityError(SingularReport(step=n, cause=ZERO_BRACKET))
+        raise SingularityError(ZERO_BRACKET)
     return 1 / (x_nm2 * bracket) if p != 0 else p
 
 
@@ -65,9 +62,9 @@ def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> T
         # window: x_{n-3}, x_{n-2}, x_n sit at list offsets n, n+1, n+3
         p = values[n] * values[n + 3]
         try:
-            nxt = step(values[n + 1], p, a_n, b_n, n=n)
+            nxt = step(values[n + 1], p, a_n, b_n)
         except SingularityError as exc:
-            return Trajectory(tuple(values), tuple(products), exc.report)
+            return Trajectory(tuple(values), tuple(products), SingularReport(n, exc.args[0]))
         values.append(nxt)
         products.append(p)
     return Trajectory(tuple(values), tuple(products))

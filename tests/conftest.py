@@ -9,28 +9,6 @@ from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 
 
-def rand_rational(rng, nonzero=True):
-    num = rng.choice([k for k in range(-9, 10) if k != 0 or not nonzero])
-    return Fraction(num, rng.randint(1, 9))
-
-
-def rand_seeds(rng):
-    return InitialConditions.of(*(rand_rational(rng) for _ in range(4)))
-
-
-def rand_stream(rng, horizon, kinds=("constant", "periodic", "list")):
-    kind = rng.choice(list(kinds))
-    if kind == "constant":
-        return CoefficientStream.constant(rand_rational(rng), rand_rational(rng, nonzero=False))
-    if kind == "periodic":
-        return CoefficientStream.periodic(
-            [(rand_rational(rng), rand_rational(rng, nonzero=False))
-             for _ in range(rng.randint(1, 6))])
-    return CoefficientStream.explicit(
-        [(rand_rational(rng), rand_rational(rng, nonzero=False))
-         for _ in range(horizon)])
-
-
 # ---------------------------------------------------------------------------
 # literal specification oracles (nested products, no shortcuts)
 

@@ -24,9 +24,8 @@ from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.reduced import v_step, v_values
 from ratrec import symmetry
-from tests.conftest import (
-    batch_values, gamma_pow, q_mul, rand_seeds, rand_stream, v_from, weight,
-    weighted_product)
+from ratrec.verify import random_seeds, random_stream
+from tests.conftest import batch_values, gamma_pow, q_mul, v_from, weight, weighted_product
 
 HORIZON = 297
 ONES = InitialConditions.of(1, 1, 1, 1)
@@ -49,7 +48,7 @@ def test_criterion_1_oracle_equivalence():
     rng = random.Random(1)
     run = skipped = 0
     while run < 200:
-        ic, stream = rand_seeds(rng), rand_stream(rng, HORIZON)
+        ic, stream = random_seeds(rng), random_stream(rng, HORIZON)
         traj = iterate(ic, stream, HORIZON)
         if not regular(traj):
             skipped += 1
@@ -80,7 +79,7 @@ def test_criterion_3_reduction_identity():
     rng = random.Random(3)
     checked = 0
     while checked < 40:
-        ic, stream = rand_seeds(rng), rand_stream(rng, 200)
+        ic, stream = random_seeds(rng), random_stream(rng, 200)
         traj = iterate(ic, stream, 200)
         if not regular(traj):
             continue
@@ -106,7 +105,7 @@ def test_criterion_4_constant_branches():
         done = attempts = 0
         while done < 50 and attempts < 2000:
             attempts += 1
-            ic = rand_seeds(rng)
+            ic = random_seeds(rng)
             traj = iterate(ic, stream, 45)
             if not regular(traj):
                 continue
@@ -119,7 +118,7 @@ def test_criterion_4_constant_branches():
     assert x_closed(ONES, CoefficientStream.constant(-1, 3), 4) == 2
     done = 0
     while done < 50:
-        ic = rand_seeds(rng)
+        ic = random_seeds(rng)
         b = Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 9))
         if -1 + b * ic.x_m3 * ic.x_0 == 0:
             continue
@@ -134,13 +133,7 @@ def test_criterion_4_constant_branches():
 
 
 def test_criterion_5_symmetry_residuals():
-    rng = random.Random(5)
-    samples = [
-        (rng.randrange(0, 24),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
-         rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        for _ in range(500)
-    ]
+    samples = symmetry.random_samples(random.Random(5), 500)
     worsts = {}
     for label, g in symmetry.BUILTINS.items():
         worsts[label] = symmetry.residual_sweep(g, samples)
@@ -157,7 +150,7 @@ def test_criterion_6_group_action_invariance():
     lambdas = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2)]
     done = 0
     while done < 50:
-        ic, stream = rand_seeds(rng), rand_stream(rng, HORIZON)
+        ic, stream = random_seeds(rng), random_stream(rng, HORIZON)
         base = iterate(ic, stream, HORIZON)
         if not regular(base):
             continue
@@ -194,7 +187,7 @@ def test_criterion_8_log_reconstruction():
     rng = random.Random(8)
     done = 0
     while done < 40:
-        ic, stream = rand_seeds(rng), rand_stream(rng, 124)
+        ic, stream = random_seeds(rng), random_stream(rng, 124)
         traj = iterate(ic, stream, 119)  # V_k needed through k = 6n+j-1 = m+2
         if not regular(traj):
             continue

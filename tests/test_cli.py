@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ratrec
-from ratrec import symmetry
+from ratrec import cli, symmetry
 from ratrec.cli import load_config, main, parse_config, ConfigError
 from ratrec.core import parse_rational
 from ratrec.engine import iterate
@@ -88,6 +88,14 @@ class TestConfigParsing:
         bad = dict(UNIT_CONFIG)
         bad["initial"] = {"x_m3": "1", "x_m2": "1", "x_m1": "1"}
         with pytest.raises(ConfigError):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("kind", [["constant"], {"constant": 1}, None, "constants"])
+    def test_bad_kind(self, kind):
+        # an unhashable kind is refused like any other, not looked up
+        bad = {**UNIT_CONFIG, "coefficients": {**UNIT_CONFIG["coefficients"], "kind": kind}}
+        with pytest.raises(ConfigError, match=r"^coefficients.kind must be constant\|periodic"
+                                              rf"\|list, got {re.escape(repr(kind))}$"):
             parse_config(bad)
 
     def test_decimal_rejected(self):
@@ -654,6 +662,35 @@ class TestOneParser:
         for _ in range(5):
             assert main(argv) == 0
         assert len(built) == 0
+
+
+class TestDispatch:
+    """``main`` runs the ``cmd_<mode>`` it finds on the module at each call,
+    so a wrapper put there, as the benchmark's tracer puts one, sees every
+    call of its mode and changes no output."""
+
+    MODES = ["iterate", "closed", "verify", "symmetry"]
+
+    def test_each_mode_calls_its_wrapped_command_once(self, config_path, capsys,
+                                                      monkeypatch):
+        argvs = {mode: ["--config", config_path(UNIT_CONFIG), "--mode", mode,
+                        "--index", "3"] for mode in self.MODES}
+        want = {}
+        for mode, argv in argvs.items():
+            want[mode] = main(argv), capsys.readouterr()
+        calls = dict.fromkeys(self.MODES, 0)
+
+        def counting(mode, command):
+            def wrapper(cfg):
+                calls[mode] += 1
+                return command(cfg)
+            return wrapper
+
+        for mode in self.MODES:
+            monkeypatch.setattr(cli, "cmd_" + mode, counting(mode, getattr(cli, "cmd_" + mode)))
+        for done, (mode, argv) in enumerate(argvs.items(), 1):
+            assert (main(argv), capsys.readouterr()) == want[mode]
+            assert calls == {m: int(i < done) for i, m in enumerate(self.MODES)}
 
 
 class TestClosedStandardStream:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ratrec.closed_form import ClosedFormError, x_closed
-from ratrec.core import CoefficientStream, InitialConditions
+from ratrec.core import CoefficientStream, InitialConditions, SingularReport
 from ratrec.engine import (
     ZERO_BRACKET,
     ZERO_X_FACTOR,
@@ -11,7 +11,8 @@ from ratrec.engine import (
     iterate,
     step,
 )
-from tests.conftest import GF, rand_seeds, rand_stream, v_from
+from ratrec.verify import random_seeds, random_stream
+from tests.conftest import GF, v_from
 from tests.test_closed_form import ZERO_SEED, small_rational
 
 ONES = InitialConditions.of(1, 1, 1, 1)
@@ -32,13 +33,13 @@ def step_outcome(x_nm3, x_nm2, x_n, a_n, b_n):
     try:
         return step(x_nm2, x_nm3 * x_n, a_n, b_n)
     except SingularityError as exc:
-        return exc.report.cause
+        return exc.args[0]
 
 
-def cause_of(*args, n=0):
+def cause_of(*args):
     with pytest.raises(SingularityError) as exc:
-        step(*args, n=n)
-    return exc.value.report.step, exc.value.report.cause
+        step(*args)
+    return exc.value.args[0]
 
 
 class TestStep:
@@ -51,17 +52,12 @@ class TestStep:
         assert step(Fraction(4), Fraction(2 * 6), Fraction(1), Fraction(0)) == 3
 
     def test_zero_bracket(self):
-        with pytest.raises(SingularityError) as exc:
-            step(Fraction(1), Fraction(-1), Fraction(1), Fraction(1))
-        assert exc.value.report.cause == ZERO_BRACKET
+        assert cause_of(Fraction(1), Fraction(-1), Fraction(1), Fraction(1)) == ZERO_BRACKET
         # p = -1: a_n/p + b_n = -1 + 1 vanishes, and x_{n-2} = 2 does not
-        assert cause_of(*map(Fraction, (2, -1, 1, 1)), n=6) == (6, ZERO_BRACKET)
+        assert cause_of(*map(Fraction, (2, -1, 1, 1))) == ZERO_BRACKET
 
     def test_zero_x_factor(self):
-        with pytest.raises(SingularityError) as exc:
-            step(Fraction(0), Fraction(1), Fraction(1), Fraction(1), n=5)
-        assert exc.value.report.cause == ZERO_X_FACTOR
-        assert exc.value.report.step == 5
+        assert cause_of(Fraction(0), Fraction(1), Fraction(1), Fraction(1)) == ZERO_X_FACTOR
 
     @pytest.mark.parametrize("x_nm3, x_n", [(0, 3), (3, 0), (0, 0)])
     def test_zero_product_gives_zero(self, x_nm3, x_n):
@@ -71,11 +67,11 @@ class TestStep:
 
     def test_zero_product_zero_a(self):
         # p = 0 and a_n = 0: the bracket a_n + b_n p vanishes, whatever b_n is
-        assert cause_of(*map(Fraction, (2, 0, 0, 7)), n=4) == (4, ZERO_BRACKET)
+        assert cause_of(*map(Fraction, (2, 0, 0, 7))) == ZERO_BRACKET
 
     def test_zero_x_factor_checked_first(self):
         # x_{n-2} = 0 wins even when p = 0 and a_n = 0 make the bracket vanish too
-        assert cause_of(*map(Fraction, (0, 0, 0, 7)), n=2) == (2, ZERO_X_FACTOR)
+        assert cause_of(*map(Fraction, (0, 0, 0, 7))) == ZERO_X_FACTOR
 
     @pytest.mark.parametrize("scalar", [Fraction, GF], ids=["fraction", "gf"])
     def test_matches_literal_formula(self, rng, scalar):
@@ -114,6 +110,14 @@ class TestIterate:
         assert traj.last_index == 0  # sticky: nothing past the failure
         assert traj.products == ()  # the failed step's product is not kept
 
+    def test_singular_step_labelled_by_iterate(self):
+        # V_0..V_2 = 1, 2, 3 and V_3 = V_2 - 3 = 0: the bracket of step 2
+        # vanishes, and iterate, not step, names the step
+        stream = CoefficientStream.explicit([(1, 1), (1, 1), (1, -3)])
+        traj = iterate(ONES, stream, 3)
+        assert traj.singular == SingularReport(2, ZERO_BRACKET)
+        assert traj.last_index == 2
+
     def test_depends_only_on_window(self):
         # x_1 only reads x_{-3}, x_{-2}, x_0; perturbing x_{-1} cannot change it
         st = CoefficientStream.periodic([(2, 1), (1, 3)])
@@ -138,7 +142,7 @@ class TestIterate:
                 ic = InitialConditions.of(*(small_rational(rng) for _ in range(4)))
                 stream = CoefficientStream.periodic([(small_rational(rng), small_rational(rng))])
             else:
-                ic, stream = rand_seeds(rng), rand_stream(rng, 30)
+                ic, stream = random_seeds(rng), random_stream(rng, 30)
             traj = iterate(ic, stream, 30)
             assert len(traj.products) == traj.last_index
             assert all(traj.products[t] == traj.x(t - 3) * traj.x(t)
@@ -196,7 +200,7 @@ class TestVSequence:
         # V_{k+1} = a_k V_k + b_k exactly on every regular trajectory
         checked = 0
         for _ in range(30):
-            ic, stream = rand_seeds(rng), rand_stream(rng, 40)
+            ic, stream = random_seeds(rng), random_stream(rng, 40)
             traj = iterate(ic, stream, 40)
             if not traj.is_regular or any(v == 0 for v in traj.values):
                 continue
@@ -226,7 +230,7 @@ class TestGroupAction:
     def test_invariance(self, rng, pattern, lam):
         hits = 0
         for _ in range(12):
-            ic, stream = rand_seeds(rng), rand_stream(rng, 40)
+            ic, stream = random_seeds(rng), random_stream(rng, 40)
             base = iterate(ic, stream, 40)
             if not base.is_regular or any(v == 0 for v in base.values):
                 continue

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from ratrec.core import CoefficientStream
 from ratrec.reduced import v_step, v_values
-from tests.conftest import fold_v, literal_v_closed, rand_stream, v_closed_constant
+from ratrec.verify import random_stream
+from tests.conftest import fold_v, literal_v_closed, v_closed_constant
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9)
@@ -42,7 +43,7 @@ class TestVClosed:
 
     def test_matches_fold_to_200(self, rng):
         for _ in range(10):
-            stream = rand_stream(rng, 200)
+            stream = random_stream(rng, 200)
             v0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             assert (list(v_values(v0, stream, 200))
                     == [fold_v(v0, stream, n) for n in range(201)])
@@ -50,7 +51,7 @@ class TestVClosed:
     def test_matches_literal_nested_products(self, rng):
         # the literal spec form is the oracle up to n = 50
         for _ in range(8):
-            stream = rand_stream(rng, 50)
+            stream = random_stream(rng, 50)
             v0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             assert (list(v_values(v0, stream, 50))
                     == [literal_v_closed(v0, stream, n) for n in range(51)])

@@ -15,7 +15,8 @@ from ratrec.closed_form import ClosedFormError, x_closed, x_closed_constant
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
-from tests.conftest import GF, batch_values, rand_seeds, rand_stream, to_gf, v_from
+from ratrec.verify import random_seeds, random_stream
+from tests.conftest import GF, batch_values, to_gf, v_from
 from tests.test_closed_form import small_pair, small_rational, vanished
 
 ONES = InitialConditions.of(1, 1, 1, 1)
@@ -60,7 +61,7 @@ def instances(rng, count):
             stream = CoefficientStream.periodic(
                 [small_pair(rng) for _ in range(rng.randint(1, 6))])
         else:
-            ic, stream = rand_seeds(rng), rand_stream(rng, HORIZON)
+            ic, stream = random_seeds(rng), random_stream(rng, HORIZON)
         if i % 4 == 3:
             stream = CoefficientStream.constant(-1, small_rational(rng))
         yield ic, stream

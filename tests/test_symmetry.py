@@ -12,8 +12,8 @@ from ratrec.engine import iterate, step
 from ratrec.reduced import v_step
 from ratrec import symmetry
 from ratrec.symmetry import BUILTINS, CONTROL, is_characteristic, symmetry_residual
-from tests.conftest import (gamma_pow, q_mul, rand_rational, rand_seeds, rand_stream, v_from,
-                            weight, weighted_product)
+from ratrec.verify import random_rational, random_seeds, random_stream
+from tests.conftest import gamma_pow, q_mul, v_from, weight, weighted_product
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 UNIT_STREAM = CoefficientStream.constant(1, 1)
@@ -230,10 +230,10 @@ class TestDeterminingEquations:
             assert is_characteristic(g) and meets(rows, g)
         assert not is_characteristic(CONTROL) and not meets(rows, CONTROL)
         for _ in range(100):
-            half = [rand_rational(rng, nonzero=False) for _ in range(3)]
+            half = [random_rational(rng, nonzero=False) for _ in range(3)]
             g = [*half, *(-v for v in half)]
             assert is_characteristic(g) and meets(rows, g)
-            g[rng.randrange(6)] += rand_rational(rng)
+            g[rng.randrange(6)] += random_rational(rng)
             assert not is_characteristic(g) and not meets(rows, g)
 
     def test_shift_polynomial(self, rng):
@@ -286,8 +286,8 @@ class TestOrderLowering:
     def test_v_folds_by_v_step(self, rng):
         steps = 0
         for _ in range(40):
-            stream = rand_stream(rng, 30)
-            traj = iterate(rand_seeds(rng), stream, 30)
+            stream = random_stream(rng, 30)
+            traj = iterate(random_seeds(rng), stream, 30)
             # V_n = 1/w_n with u_k = x_{k-3}: 1/(x_{n-3} x_n)
             v = [v_from(traj, n) for n in range(traj.last_index + 1)]
             for n in range(len(v) - 1):
