@@ -4,9 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  All oracles are independent and exact: direct iteration of the
 recurrence, V read off its trajectories, one-step folds of the reduced map,
 the paper's weighted-product form of x_m, and powers of gamma = exp(i pi/3)
-multiplied out in Q(sqrt(-3)).  Criterion 1 also runs the batch rule
-x_t = 1/(x_{t-3} V_t) over the package's own checked fold, whose every V it
-thereby checks against the iteration.  Only the symmetry residuals
+multiplied out in Q(sqrt(-3)).  Criteria 1 and 4 run the batch rule
+x_t = 1/(x_{t-3} V_t) over the package's own checked fold, whose every V
+they thereby check against the iteration at every index, and call the
+closed form itself at the horizon and once at each residue (criterion 4's
+a = -1 instances at every index).  Only the symmetry residuals
 (criterion 5) are floats.
 """
 
@@ -14,8 +16,6 @@ import csv
 import json
 import random
 from fractions import Fraction
-
-import pytest
 
 from ratrec import closed_form
 from ratrec.cli import main
@@ -37,10 +37,6 @@ def report(criterion, ok, detail=""):
     assert ok, line
 
 
-def regular(traj):
-    return traj.is_regular and all(v != 0 for v in traj.values)
-
-
 def test_criterion_1_oracle_equivalence():
     # x_closed at every index of 200 instances would take minutes, so the
     # batch rule over the closed form's checked fold checks every index, and
@@ -50,7 +46,7 @@ def test_criterion_1_oracle_equivalence():
     while run < 200:
         ic, stream = random_seeds(rng), random_stream(rng, HORIZON)
         traj = iterate(ic, stream, HORIZON)
-        if not regular(traj):
+        if not traj.is_regular:
             skipped += 1
             continue
         # a regular iteration puts every index in the closed form's domain
@@ -81,7 +77,7 @@ def test_criterion_3_reduction_identity():
     while checked < 40:
         ic, stream = random_seeds(rng), random_stream(rng, 200)
         traj = iterate(ic, stream, 200)
-        if not regular(traj):
+        if not traj.is_regular:
             continue
         vs = [v_from(traj, k) for k in range(201)]
         for k in range(len(vs) - 1):
@@ -97,6 +93,9 @@ def test_criterion_3_reduction_identity():
 
 
 def test_criterion_4_constant_branches():
+    # as in criterion 1, the batch rule over the closed form's checked fold
+    # checks every index of each grid instance, and x_closed_constant is
+    # checked at m=45, and once per cell at each of the six residues
     rng = random.Random(4)
     pairs = [(Fraction(a), Fraction(b))
              for a in (1, -1, 2, -2, Fraction(1, 2)) for b in (0, 1, -1, 3)]
@@ -107,10 +106,11 @@ def test_criterion_4_constant_branches():
             attempts += 1
             ic = random_seeds(rng)
             traj = iterate(ic, stream, 45)
-            if not regular(traj):
+            if not traj.is_regular:
                 continue
-            for m in range(-3, 46):
-                assert x_closed_constant(ic, a, b, m) == traj.x(m)
+            assert batch_values(ic, closed_form._v_checked(ic, stream, 45)) == list(traj.values)
+            ms = range(40, 46) if done == 0 else (45,)
+            assert all(x_closed_constant(ic, a, b, m) == traj.x(m) for m in ms)
             done += 1
         assert done == 50, f"(a={a}, b={b}): only {done} regular instances"
     # a = -1 parity witness from the derivation check
@@ -120,16 +120,16 @@ def test_criterion_4_constant_branches():
     while done < 50:
         ic = random_seeds(rng)
         b = Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 9))
-        if -1 + b * ic.x_m3 * ic.x_0 == 0:
-            continue
         stream = CoefficientStream.constant(-1, b)
         traj = iterate(ic, stream, 45)
-        if not regular(traj):
+        if not traj.is_regular:
             continue
         for m in range(-3, 46):
             assert x_closed(ic, stream, m) == traj.x(m)
         done += 1
-    report(4, True, "20 (a,b) grid cells x 50 instances + 50 a=-1 parity instances, exact")
+    report(4, True, "20 (a,b) grid cells x 50 instances exact to m=45 by the batch rule, "
+                    "x_closed_constant at m=45 and at every residue once; "
+                    "50 a=-1 parity instances by x_closed at every m <= 45")
 
 
 def test_criterion_5_symmetry_residuals():
@@ -152,7 +152,7 @@ def test_criterion_6_group_action_invariance():
     while done < 50:
         ic, stream = random_seeds(rng), random_stream(rng, HORIZON)
         base = iterate(ic, stream, HORIZON)
-        if not regular(base):
+        if not base.is_regular:
             continue
         pattern = patterns[done % 2]
         lam = rng.choice(lambdas)
@@ -189,7 +189,7 @@ def test_criterion_8_log_reconstruction():
     while done < 40:
         ic, stream = random_seeds(rng), random_stream(rng, 124)
         traj = iterate(ic, stream, 119)  # V_k needed through k = 6n+j-1 = m+2
-        if not regular(traj):
+        if not traj.is_regular:
             continue
         for m in range(-3, 118):
             assert weighted_product(traj, m) == traj.x(m)

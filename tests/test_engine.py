@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from ratrec.closed_form import ClosedFormError, x_closed
 from ratrec.core import CoefficientStream, InitialConditions, SingularReport
 from ratrec.engine import (
     ZERO_BRACKET,
@@ -12,8 +11,8 @@ from ratrec.engine import (
     step,
 )
 from ratrec.verify import random_seeds, random_stream
-from tests.conftest import GF, v_from
-from tests.test_closed_form import ZERO_SEED, small_rational
+from tests.conftest import GF
+from tests.test_closed_form import small_rational
 
 ONES = InitialConditions.of(1, 1, 1, 1)
 
@@ -89,13 +88,17 @@ class TestStep:
 
 class TestIterate:
     def test_worked_case(self):
-        traj = iterate(ONES, CoefficientStream.constant(1, 1), 3)
+        stream = CoefficientStream.constant(1, 1)
+        traj = iterate(ONES, stream, 3)
         assert traj.x(1) == Fraction(1, 2)
         assert traj.x(2) == Fraction(1, 3)
         assert traj.x(3) == Fraction(1, 4)
         assert traj.is_regular
         # p_n = 1/V_n for V_n = n + 1
         assert traj.products == (1, Fraction(1, 2), Fraction(1, 3))
+        # horizon 0 takes no step: the seeds alone
+        seeds = iterate(ONES, stream, 0)
+        assert seeds.values == (1, 1, 1, 1) and seeds.products == () and seeds.is_regular
 
     def test_fixed_point(self):
         traj = iterate(ONES, CoefficientStream.constant(1, 0), 6)
@@ -176,42 +179,6 @@ class TestDetectSingularity:
         assert rep is not None and (rep.step, rep.cause) == (0, ZERO_X_FACTOR)
 
 
-class TestVSequence:
-    """V_k = 1/(x_{k-3} x_k) read off iterated trajectories (``v_from``)."""
-
-    def test_fixed_point_all_ones(self):
-        traj = iterate(ONES, CoefficientStream.constant(1, 0), 10)
-        assert [v_from(traj, k) for k in range(11)] == [1] * 11
-
-    def test_worked_values(self):
-        traj = iterate(ONES, CoefficientStream.constant(1, 1), 3)
-        assert [v_from(traj, k) for k in range(4)] == [1, 2, 3, 4]
-
-    def test_zero_value_rejected(self):
-        # a zero seed leaves V_0 = 1/(x_{-3} x_0) undefined, and the closed
-        # form, which folds V from V_0, refuses
-        ic, stream = InitialConditions.of(1, 1, 1, 0), CoefficientStream.constant(1, 0)
-        with pytest.raises(ZeroDivisionError):
-            v_from(iterate(ic, stream, 0), 0)
-        with pytest.raises(ClosedFormError, match=ZERO_SEED):
-            x_closed(ic, stream, 0)
-
-    def test_reduction_identity_randomized(self, rng):
-        # V_{k+1} = a_k V_k + b_k exactly on every regular trajectory
-        checked = 0
-        for _ in range(30):
-            ic, stream = random_seeds(rng), random_stream(rng, 40)
-            traj = iterate(ic, stream, 40)
-            if not traj.is_regular or any(v == 0 for v in traj.values):
-                continue
-            vs = [v_from(traj, k) for k in range(41)]
-            for k in range(len(vs) - 1):
-                a_k, b_k = stream.at(k)
-                assert vs[k + 1] == a_k * vs[k] + b_k
-            checked += 1
-        assert checked >= 10
-
-
 EXP_ALT = [1, -1, 1, -1, 1, -1]           # (-1)^k
 EXP_COS = [2, 1, -1, -2, -1, 1]           # 2 cos(pi k / 3)
 
@@ -232,7 +199,7 @@ class TestGroupAction:
         for _ in range(12):
             ic, stream = random_seeds(rng), random_stream(rng, 40)
             base = iterate(ic, stream, 40)
-            if not base.is_regular or any(v == 0 for v in base.values):
+            if not base.is_regular:
                 continue
             scaled = iterate(scaled_seeds(ic, lam, pattern), stream, 40)
             assert scaled.is_regular

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ratrec.core import CoefficientStream
 from ratrec.reduced import v_step, v_values
 from ratrec.verify import random_stream
-from tests.conftest import fold_v, literal_v_closed, v_closed_constant
+from tests.conftest import literal_v_closed, v_closed_constant
 
 small_rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9)
@@ -40,13 +40,6 @@ class TestVClosed:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             list(v_values(Fraction(1), CoefficientStream.constant(1, 1), -1))
-
-    def test_matches_fold_to_200(self, rng):
-        for _ in range(10):
-            stream = random_stream(rng, 200)
-            v0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            assert (list(v_values(v0, stream, 200))
-                    == [fold_v(v0, stream, n) for n in range(201)])
 
     def test_matches_literal_nested_products(self, rng):
         # the literal spec form is the oracle up to n = 50

@@ -1,9 +1,11 @@
 """The number type is chosen at the boundary only.
 
 The kernels run unchanged on any field scalar; ``GF`` (conftest) is one
-that ``Fraction()`` cannot read.  The bare-scalar entry point
-``x_closed_constant`` coerces to ``Fraction`` itself, so plain ints still
-give exact answers.
+that ``Fraction()`` cannot read.  One set of instances, constant a = -1
+streams among them, checks that every kernel reduces mod p.  The
+bare-scalar entry point ``x_closed_constant`` builds its stream with
+``CoefficientStream.constant``, which reads plain ints as ``Fraction``, so
+they still give exact answers.
 """
 
 from fractions import Fraction
@@ -86,12 +88,6 @@ class TestKernelsOverGF:
             for m in range(-3, HORIZON + 1):
                 assert_reduces(outcome(x_closed, ic, stream, m),
                                outcome(x_closed, gic, gstream, m))
-
-    def test_power_path_runs_over_gf(self):
-        # constant a = -1, b = 3 from seeds 1: V is 2-periodic with
-        # V_1/V_0 = -1 + 3 = 2, so x_4 = x_{-2} V_1/V_4 = 2 by the block product
-        gic, gstream = to_gf(ONES, CoefficientStream.constant(-1, 3))
-        assert x_closed(gic, gstream, 4) == GF(2)
 
     def test_singular_witness_stops_at_the_same_step(self):
         ic, stream = to_gf(ONES, CoefficientStream.periodic([(-1, 1), (2, 1)]))
