@@ -10,9 +10,11 @@ Configuration comes from a JSON file (--config); a flag replaces the config
 key of the same name.  Each value given is checked for its type, and the
 setting kept for its range, once and in every mode.
 Exact values are always printed as "p/q" strings; floats appear only in
-symmetry reports.  Each command returns its records and exit code; main
-alone emits them, flushes the standard streams and maps errors to exit
-codes.  A standard error that cannot be written keeps the status.
+symmetry reports.  Each command returns its records and exit code, and
+main maps errors to exit codes.  main alone writes both standard streams:
+the records, argparse's help and usage text and the error line go to two
+buffers, written once each at the end.  A standard error that cannot be
+written keeps the status.
   0  success
   1  verification failure: a verify mismatch, or a symmetry verdict that fails
   2  usage or config error: an unknown flag, an unreadable config (not
@@ -25,8 +27,8 @@ codes.  A standard error that cannot be written keeps the status.
      without an index
   3  mathematical domain error: a zero seed in the closed form, an index
      at or past the first singular step of the iteration (the first x it
-     cannot compute), an index below -3, or an index past a list
-     stream's horizon
+     cannot compute), an index below -3, an index past a list stream's
+     horizon, or an input too large to compute in the memory there is
 """
 
 from __future__ import annotations
@@ -154,10 +156,8 @@ Result = Tuple[List[Dict], int]
 
 def emit(records: List[Dict], fmt: str, path: Optional[str]) -> None:
     """Write the records to the file at path, or to stdout, which ``main``
-    flushes.  An output that cannot be opened or written is a config error."""
+    buffers.  A file that cannot be opened or written is a config error."""
     try:
-        if not path and sys.stdout is None:  # fd 1 was closed at startup
-            raise OSError("standard output is closed")
         with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
             if fmt == "jsonl":
                 out.writelines(json.dumps(rec) + "\n" for rec in records)
@@ -167,7 +167,7 @@ def emit(records: List[Dict], fmt: str, path: Optional[str]) -> None:
                 writer.writeheader()
                 writer.writerows(records)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path or '<stdout>'}: {exc}")
+        raise ConfigError(f"cannot write output {path}: {exc}")
 
 
 def cmd_iterate(cfg: RunConfig) -> Result:
@@ -222,27 +222,13 @@ def cmd_symmetry(cfg: RunConfig) -> Result:
     return records, 0 if all(rec["pass"] for rec in records) else 1
 
 
-class _Help(argparse.Action):
-    """--help that writes the help text itself: argparse's own action drops a
-    failed unbuffered write and exits 0, where this one lets the OSError
-    reach ``main``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if sys.stdout is None:  # fd 1 was closed at startup
-            raise OSError("standard output is closed")
-        sys.stdout.write(parser.format_help())
-        raise SystemExit(0)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="ratrec", add_help=False,
+        prog="ratrec",
         description="Exact iteration, closed-form solution, and verification "
                     "of the fourth-order rational recurrence "
                     "x_{n+1} = x_{n-3}x_n / (x_{n-2}(a_n + b_n x_{n-3}x_n)).")
-    p.add_argument("-h", "--help", action=_Help, nargs=0, default=argparse.SUPPRESS,
-                   help="show this help message and exit")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--mode", required=True, choices=_MODES)
     for key, (_, text) in _SETTINGS.items():
@@ -256,19 +242,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _discard(stream) -> None:
-    """Point a standard stream that failed a write at the null device: it
-    keeps the unwritten bytes, and the interpreter's exit flush would fail
-    on them again."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+def _write(name: str, text: str) -> None:
+    """Write text, if any, to the standard output or error stream and flush
+    it: the one place the CLI writes one.  A stream closed at startup is
+    None.  One whose write fails is pointed at the null device before the
+    OSError goes on: it keeps the unwritten bytes, and the interpreter's exit
+    flush would fail on them again."""
+    if not text:
+        return
+    stream = sys.stdout if name == "output" else sys.stderr
+    if stream is None:
+        raise OSError(f"standard {name} is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
+
+
+# a constant: when memory has run out, there may be none to build a message
+_OUT_OF_MEMORY = "error: out of memory: the input is too large to compute\n"
 
 
 def main(argv=None) -> int:
-    error = None
-    # a stderr closed at startup is None: what is written there is dropped
-    with contextlib.redirect_stderr(sys.stderr or io.StringIO()):
+    # what the run writes to stdout and stderr, argparse's help and usage text included
+    out, err, error = io.StringIO(), io.StringIO(), ""
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             args = build_parser().parse_args(argv)
             cfg = load_config(args.config, **{key: value for key, value in vars(args).items()
@@ -280,26 +282,19 @@ def main(argv=None) -> int:
             emit(records, args.output, args.out)
         except SystemExit as exc:  # argparse, after --help or a usage error
             code = exc.code
-        except OSError as exc:  # _Help's text, or argparse's usage text where it lets a write raise
-            code, error = 2, f"config error: cannot write help or usage text: {exc}"
         except ConfigError as exc:
-            code, error = 2, f"config error: {exc}"
+            code, error = 2, f"config error: {exc}\n"
         except (ClosedFormError, IndexError) as exc:
-            code, error = 3, f"error: {exc}"
-        # the one place a standard stream that cannot be written is handled:
-        # stdout that fails is a config error, and stderr that fails keeps the status
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except OSError as exc:
-            _discard(sys.stdout)
-            code, error = 2, f"config error: cannot write output <stdout>: {exc}"
-        try:
-            if error:
-                print(error, file=sys.stderr)
-            sys.stderr.flush()
-        except OSError:
-            _discard(sys.stderr)
+            code, error = 3, f"error: {exc}\n"
+        except MemoryError:
+            code, error = 3, _OUT_OF_MEMORY
+    # stdout that fails is a config error, and stderr that fails keeps the status
+    try:
+        _write("output", out.getvalue())
+    except OSError as exc:
+        code, error = 2, f"config error: cannot write output <stdout>: {exc}\n"
+    with contextlib.suppress(OSError):
+        _write("error", err.getvalue() + error)
     return code
 
 

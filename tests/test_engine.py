@@ -154,16 +154,9 @@ class TestIterate:
             zero_products += 0 in traj.products
         assert regular == {True, False} and zero_products
 
-
-class TestDetectSingularity:
     def test_regular_long_run(self):
         # a = b = 1, positive seeds: bracket 1 + x x > 0 forever
         assert iterate(ONES, CoefficientStream.constant(1, 1), 100).singular is None
-
-    def test_bracket_hit(self):
-        rep = iterate(InitialConditions.of(1, 1, 1, -1),
-                      CoefficientStream.constant(1, 1), 100).singular
-        assert rep is not None and (rep.step, rep.cause) == (0, ZERO_BRACKET)
 
     def test_zero_product_is_a_value(self):
         # x_{-3} = 0 makes p = 0 at step 0, so x_1 = 0, then x_2 = x_3 = 0 the

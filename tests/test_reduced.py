@@ -21,7 +21,7 @@ class TestVStep:
                       Fraction(2), Fraction(1)) == 5
 
 
-class TestVClosed:
+class TestVValues:
     """V_0..V_n from ``v_values`` against the closed form's oracles."""
 
     def test_varying_stream(self):
@@ -67,7 +67,7 @@ def folded(v0, a, b, n):
     return list(v_values(Fraction(v0), CoefficientStream.constant(a, b), n))[-1]
 
 
-class TestVClosedConstant:
+class TestConstantFold:
     """Constant streams fold through the general kernel; the geometric sum
     (conftest's ``v_closed_constant``) is the oracle."""
 
