@@ -33,7 +33,7 @@ Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
 coefficient denominators its two factors share while they are small, and
 multiplied in a balanced tree, so the two operands of every multiplication
-(and of the gcds a ``Fraction`` takes in it) are of about the same size.
+(and of the two cross gcds of an exact product) are of about the same size.
 Every stream, constant ones included, takes this one path.
 """
 

@@ -1,11 +1,12 @@
 """Value types, coefficient streams, and the 6-block index algebra.
 
-Exact values are ``fractions.Fraction`` (aliased ``Rational``), made only
-at the boundary: ``parse_rational``, ``InitialConditions.of``, the
-``CoefficientStream`` classmethods, the verify sampler and the bare-scalar
-entry point ``x_closed_constant``.  Kernels never coerce: they run on any
-field scalar with + - * / and == 0, which the raw dataclass constructors
-pass through.
+Exact values are ``Rational`` (``ratrec.rational``), a ``fractions.Fraction``
+whose product, quotient and sum skip ``Fraction``'s generic dispatch.  They
+are made only at the boundary: ``parse_rational``, ``InitialConditions.of``,
+the ``CoefficientStream`` classmethods (and so the bare-scalar entry point
+``x_closed_constant``) and the verify sampler.  Kernels never coerce: they
+run on any field scalar with + - * / and == 0, which the raw dataclass
+constructors pass through.
 Rational literals are "p/q" or integer strings; decimals are rejected on
 purpose, since a decimal string is ambiguous as an exact value.
 
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-Rational = Fraction
+from ratrec.rational import Rational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -42,8 +42,8 @@ def parse_rational(text: str) -> Rational:
         num, den = s.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+        return Rational(int(num), int(den))
+    return Rational(int(s))
 
 
 def format_rational(x: Rational) -> str:
@@ -72,15 +72,15 @@ class CoefficientStream:
 
     @classmethod
     def constant(cls, a, b) -> "CoefficientStream":
-        return cls("constant", ((Fraction(a), Fraction(b)),))
+        return cls("constant", ((Rational(a), Rational(b)),))
 
     @classmethod
     def periodic(cls, pairs: Sequence[Tuple[Rational, Rational]]) -> "CoefficientStream":
-        return cls("periodic", tuple((Fraction(a), Fraction(b)) for a, b in pairs))
+        return cls("periodic", tuple((Rational(a), Rational(b)) for a, b in pairs))
 
     @classmethod
     def explicit(cls, pairs: Sequence[Tuple[Rational, Rational]]) -> "CoefficientStream":
-        return cls("list", tuple((Fraction(a), Fraction(b)) for a, b in pairs))
+        return cls("list", tuple((Rational(a), Rational(b)) for a, b in pairs))
 
     def at(self, n: int) -> Tuple[Rational, Rational]:
         if n < 0:
@@ -104,7 +104,7 @@ class InitialConditions:
 
     @classmethod
     def of(cls, x_m3, x_m2, x_m1, x_0) -> "InitialConditions":
-        return cls(Fraction(x_m3), Fraction(x_m2), Fraction(x_m1), Fraction(x_0))
+        return cls(Rational(x_m3), Rational(x_m2), Rational(x_m1), Rational(x_0))
 
     def as_tuple(self) -> Tuple[Rational, Rational, Rational, Rational]:
         return (self.x_m3, self.x_m2, self.x_m1, self.x_0)

@@ -1,0 +1,104 @@
+"""``Rational``: the package's exact scalar, a ``fractions.Fraction``.
+
+It adds no state (``__slots__ = ()``) and overrides four operators, the
+ones the kernels spend their time in: ``x * y``, ``x / y``, ``n / y`` for an
+int n, and ``x + y``.  Each runs the steps ``Fraction`` runs (Knuth, TAOCP
+vol. 2, 4.5.1: the cross gcds of a product or quotient, the denominator gcd
+and then the second gcd of a sum, each skipped when it is 1) straight on the
+two slots of normalised operands, and sets the slots of its result without
+a constructor call: ``Fraction``'s generic operator dispatch, property reads
+and constructor type checks are not taken.
+
+The fast path takes an operand whose type is exactly ``Rational`` or
+``Fraction``, or an int for ``n / y``; any other operand goes to
+``Fraction``'s own operator unchanged.  Every other arithmetic operation
+is ``Fraction``'s and returns a ``Fraction``.  ``==``, ``hash`` and ``str``
+are ``Fraction``'s; ``repr`` reads ``Rational(p, q)``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+_new = object.__new__
+
+
+class Rational(Fraction):
+    __slots__ = ()
+
+    def __mul__(a, b):
+        if type(b) not in _EXACT:
+            return Fraction.__mul__(a, b)
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g1 = gcd(na, db)
+        if g1 != 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 != 1:
+            nb //= g2
+            da //= g2
+        return _rational(na * nb, db * da)
+
+    def __truediv__(a, b):
+        if type(b) not in _EXACT:
+            return Fraction.__truediv__(a, b)
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g1 = gcd(na, nb)
+        if g1 != 1:
+            na //= g1
+            nb //= g1
+        g2 = gcd(db, da)
+        if g2 != 1:
+            da //= g2
+            db //= g2
+        return _quotient(na * db, nb * da)
+
+    def __rtruediv__(b, a):
+        # a / b for an int a, as in 1 / y: a has denominator 1, so one gcd
+        if type(a) is not int:
+            return Fraction.__rtruediv__(b, a)
+        nb = b._numerator
+        g = gcd(a, nb)
+        if g != 1:
+            a //= g
+            nb //= g
+        return _quotient(a * b._denominator, nb)
+
+    def __add__(a, b):
+        if type(b) not in _EXACT:
+            return Fraction.__add__(a, b)
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _rational(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _rational(t, s * db)
+        return _rational(t // g2, s * (db // g2))
+
+
+_EXACT = (Rational, Fraction)
+
+
+def _rational(n: int, d: int) -> Rational:
+    """The Rational n/d for coprime n and d > 0, without normalising."""
+    r = _new(Rational)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _quotient(n: int, d: int) -> Rational:
+    """n/d for coprime n and d, d of either sign; ZeroDivisionError at d = 0."""
+    if d <= 0:
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    return _rational(n, d)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ratrec.closed_form import _block_product, _v_checked
@@ -22,12 +21,16 @@ from ratrec.engine import iterate
 from ratrec import symmetry
 
 RESIDUAL_SAMPLES = 100  # points in the symmetry-residual sweep
+# the numerators a draw chooses from, in order: rng.choice reads only the
+# length and the order of its sequence
+_NUMERATORS = tuple(range(-9, 10))
+_NONZERO_NUMERATORS = tuple(k for k in _NUMERATORS if k != 0)
 
 
 def random_rational(rng: random.Random, nonzero: bool = True) -> Rational:
-    num = rng.choice([k for k in range(-9, 10) if k != 0 or not nonzero])
+    num = rng.choice(_NONZERO_NUMERATORS if nonzero else _NUMERATORS)
     den = rng.randint(1, 9)
-    return Fraction(num, den)
+    return Rational(num, den)
 
 
 def random_stream(rng: random.Random, horizon: int) -> CoefficientStream:

@@ -4,7 +4,7 @@ The kernels run unchanged on any field scalar; ``GF`` (conftest) is one
 that ``Fraction()`` cannot read.  One set of instances, constant a = -1
 streams among them, checks that every kernel reduces mod p.  The
 bare-scalar entry point ``x_closed_constant`` builds its stream with
-``CoefficientStream.constant``, which reads plain ints as ``Fraction``, so
+``CoefficientStream.constant``, which reads plain ints as ``Rational``, so
 they still give exact answers.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from ratrec import closed_form
 from ratrec.closed_form import ClosedFormError, x_closed, x_closed_constant
-from ratrec.core import CoefficientStream, InitialConditions
+from ratrec.core import CoefficientStream, InitialConditions, Rational
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
 from ratrec.verify import random_seeds, random_stream
@@ -108,4 +108,4 @@ class TestBareScalarsStayExact:
         ]
         assert [value for value, _ in cases] == [Fraction(1, 4), 2]
         for value, iterated in cases:
-            assert type(value) is Fraction and value == iterated
+            assert type(value) is Rational and value == iterated
