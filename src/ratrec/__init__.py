@@ -12,7 +12,6 @@ from ratrec.core import (
     format_rational,
     CoefficientStream,
     InitialConditions,
-    SingularReport,
     Trajectory,
     decompose_index,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "InitialConditions",
     "Trajectory",
     "decompose_index",
-    "SingularReport",
     "SingularityError",
     "step",
     "iterate",

@@ -177,7 +177,7 @@ def cmd_iterate(cfg: RunConfig) -> Result:
                for m in range(-3, traj.last_index + 1)]
     if not traj.is_regular:
         records.append({"m": "", "x": "", "status": "singular",
-                        "step": traj.singular.step, "cause": traj.singular.cause})
+                        "step": traj.last_index, "cause": traj.singular})
     return records, 0
 
 

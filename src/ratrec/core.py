@@ -19,7 +19,7 @@ as m = 6n + j - 3 with block number n >= 0 and residue j in 0..5.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ratrec.rational import Rational
@@ -121,25 +121,19 @@ def decompose_index(m: int) -> Tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class SingularReport:
-    """First step n at which computing x_{n+1} failed, and why."""
-
-    step: int
-    cause: str  # engine.ZERO_X_FACTOR | engine.ZERO_BRACKET
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Exact values x_{-3}, x_{-2}, ... with optional singular truncation.
 
     ``values[i]`` is x_{i-3}; ``products[n]`` is step n's window product
-    x_{n-3} x_n.  When ``singular`` is set, the values stop right before
-    the step that failed and nothing follows.
+    x_{n-3} x_n.  ``singular`` is None, or the cause of step
+    ``last_index``, the step that failed (``engine.ZERO_X_FACTOR`` or
+    ``engine.ZERO_BRACKET``): the values stop right before it and nothing
+    follows.
     """
 
     values: Tuple[Rational, ...]
     products: Tuple[Rational, ...]
-    singular: Optional[SingularReport] = field(default=None)
+    singular: Optional[str] = None
 
     @property
     def last_index(self) -> int:

@@ -10,7 +10,8 @@ product instead of three.  The denominator can vanish in two distinct
 ways, checked in this order and kept apart: ``zero-x-factor`` (x_{n-2} = 0,
 the forbidden-set flavour) and ``zero-bracket`` (a dynamical collision:
 a_n/p + b_n = 0, or a_n = 0 when p = 0; otherwise p = 0 gives x_{n+1} = 0).
-Singularity is sticky: no values are produced past the first failure.
+Singularity is sticky: when step n fails the trajectory ends at x_n, so
+its last index is the failed step and ``Trajectory.singular`` the cause.
 ``Trajectory.products`` keeps the p of every step taken.  The reduced
 values V_n = 1/(x_{n-3} x_n) are folded by ``reduced``, not read off a
 trajectory: the iteration stays the closed form's oracle.
@@ -20,13 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ratrec.core import (
-    CoefficientStream,
-    InitialConditions,
-    Rational,
-    SingularReport,
-    Trajectory,
-)
+from ratrec.core import CoefficientStream, InitialConditions, Rational, Trajectory
 
 ZERO_X_FACTOR = "zero-x-factor"
 ZERO_BRACKET = "zero-bracket"
@@ -64,7 +59,7 @@ def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> T
         try:
             nxt = step(values[n + 1], p, a_n, b_n)
         except SingularityError as exc:
-            return Trajectory(tuple(values), tuple(products), SingularReport(n, exc.args[0]))
+            return Trajectory(tuple(values), tuple(products), exc.args[0])
         values.append(nxt)
         products.append(p)
     return Trajectory(tuple(values), tuple(products))

@@ -3,11 +3,15 @@
 It adds no state (``__slots__ = ()``) and overrides four operators, the
 ones the kernels spend their time in: ``x * y``, ``x / y``, ``n / y`` for an
 int n, and ``x + y``.  Each runs the steps ``Fraction`` runs (Knuth, TAOCP
-vol. 2, 4.5.1: the cross gcds of a product or quotient, the denominator gcd
-and then the second gcd of a sum, each skipped when it is 1) straight on the
-two slots of normalised operands, and sets the slots of its result without
-a constructor call: ``Fraction``'s generic operator dispatch, property reads
+vol. 2, 4.5.1: the cross gcds of a product, the denominator gcd and then
+the second gcd of a sum, each skipped when it is 1) straight on the two
+slots of normalised operands, and sets the slots of its result without a
+constructor call: ``Fraction``'s generic operator dispatch, property reads
 and constructor type checks are not taken.
+
+×, ÷ and n/x share one kernel, ``_product``, the product of two coprime
+pairs: ``x * y`` passes y's pair as it is, ``x / y`` passes y's pair
+swapped, and ``n / y`` passes ``(n, 1)`` and y's pair swapped.
 
 The fast path takes an operand whose type is exactly ``Rational`` or
 ``Fraction``, or an int for ``n / y``; any other operand goes to
@@ -30,43 +34,18 @@ class Rational(Fraction):
     def __mul__(a, b):
         if type(b) not in _EXACT:
             return Fraction.__mul__(a, b)
-        na, da = a._numerator, a._denominator
-        nb, db = b._numerator, b._denominator
-        g1 = gcd(na, db)
-        if g1 != 1:
-            na //= g1
-            db //= g1
-        g2 = gcd(nb, da)
-        if g2 != 1:
-            nb //= g2
-            da //= g2
-        return _rational(na * nb, db * da)
+        return _product(a._numerator, a._denominator, b._numerator, b._denominator)
 
     def __truediv__(a, b):
         if type(b) not in _EXACT:
             return Fraction.__truediv__(a, b)
-        na, da = a._numerator, a._denominator
-        nb, db = b._numerator, b._denominator
-        g1 = gcd(na, nb)
-        if g1 != 1:
-            na //= g1
-            nb //= g1
-        g2 = gcd(db, da)
-        if g2 != 1:
-            da //= g2
-            db //= g2
-        return _quotient(na * db, nb * da)
+        return _product(a._numerator, a._denominator, b._denominator, b._numerator)
 
     def __rtruediv__(b, a):
-        # a / b for an int a, as in 1 / y: a has denominator 1, so one gcd
+        # a / b for an int a, as in 1 / y
         if type(a) is not int:
             return Fraction.__rtruediv__(b, a)
-        nb = b._numerator
-        g = gcd(a, nb)
-        if g != 1:
-            a //= g
-            nb //= g
-        return _quotient(a * b._denominator, nb)
+        return _product(a, 1, b._denominator, b._numerator)
 
     def __add__(a, b):
         if type(b) not in _EXACT:
@@ -87,18 +66,30 @@ class Rational(Fraction):
 _EXACT = (Rational, Fraction)
 
 
+def _product(na: int, da: int, nb: int, db: int) -> Rational:
+    """(na/da)(nb/db) for coprime pairs with da > 0 and db of either sign;
+    ZeroDivisionError at db = 0."""
+    g1 = gcd(na, db)
+    if g1 != 1:
+        na //= g1
+        db //= g1
+    # da first: gcd returns at once when its first argument is 1, and da is
+    # 1 for n / y, where nb may have thousands of digits
+    g2 = gcd(da, nb)
+    if g2 != 1:
+        nb //= g2
+        da //= g2
+    n, d = na * nb, db * da
+    if d <= 0:
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    return _rational(n, d)
+
+
 def _rational(n: int, d: int) -> Rational:
     """The Rational n/d for coprime n and d > 0, without normalising."""
     r = _new(Rational)
     r._numerator = n
     r._denominator = d
     return r
-
-
-def _quotient(n: int, d: int) -> Rational:
-    """n/d for coprime n and d, d of either sign; ZeroDivisionError at d = 0."""
-    if d <= 0:
-        if d == 0:
-            raise ZeroDivisionError(f"Fraction({n}, 0)")
-        n, d = -n, -d
-    return _rational(n, d)

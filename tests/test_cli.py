@@ -294,6 +294,22 @@ class TestIterateMode:
         assert last["status"] == "singular"
         assert last["step"] == 0 and last["cause"] == "zero-x-factor"
 
+    def test_singular_row_past_step_0(self, config_path, tmp_path):
+        # V_0..V_2 = 1, 2, 3 and V_3 = V_2 - 3 = 0: the bracket of step 2
+        # vanishes, after x_1 and x_2 exist
+        cfg = {**UNIT_CONFIG, "coefficients": {
+            "kind": "list", "pairs": [["1", "1"], ["1", "1"], ["1", "-3"]]}}
+        code, text = run(config_path(cfg), "--mode", "iterate", tmp_path=tmp_path)
+        assert code == 0
+        recs = jsonl_records(text)
+        assert [(r["m"], r["status"]) for r in recs[:-1]] == [(m, "ok") for m in range(-3, 3)]
+        assert recs[-1] == {"m": "", "x": "", "status": "singular", "step": 2,
+                            "cause": "zero-bracket"}
+        code, text = run(config_path(cfg), "--mode", "iterate", tmp_path=tmp_path, fmt="csv")
+        assert code == 0
+        assert (list(csv.DictReader(io.StringIO(text)))
+                == [{k: str(v) for k, v in r.items()} for r in recs])
+
 
 class TestClosedMode:
     def test_a1_branch(self, config_path, tmp_path):

@@ -361,7 +361,7 @@ class TestDomain:
                     assert x_closed(ic, stream, m) == traj.x(m)
                 else:
                     # the bracket of step n vanishes with V_{n+1}
-                    first = vanished(traj.singular.step + 1)
+                    first = vanished(traj.last_index + 1)
                     with pytest.raises(ClosedFormError, match=first):
                         x_closed(ic, stream, m)
         assert singular >= 15

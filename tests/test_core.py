@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import ratrec
 from ratrec.core import (
     CoefficientStream,
     InitialConditions,
@@ -112,3 +113,10 @@ class TestInitialConditions:
         assert ic.as_tuple() == (1, 0, 2, 3)
         assert not ic.all_nonzero()
         assert InitialConditions.of(1, 1, 1, 1).all_nonzero()
+
+
+def test_star_import_finds_every_public_name():
+    # a name in __all__ that the package lacks makes the star import raise
+    namespace = {}
+    exec("from ratrec import *", namespace)
+    assert set(ratrec.__all__) <= set(namespace)

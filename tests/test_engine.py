@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratrec.core import CoefficientStream, InitialConditions, SingularReport
+from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import (
     ZERO_BRACKET,
     ZERO_X_FACTOR,
@@ -108,18 +108,17 @@ class TestIterate:
         ic = InitialConditions.of(1, 1, 1, -1)
         traj = iterate(ic, CoefficientStream.constant(1, 1), 1)
         assert not traj.is_regular
-        assert traj.singular.step == 0
-        assert traj.singular.cause == ZERO_BRACKET
-        assert traj.last_index == 0  # sticky: nothing past the failure
+        # sticky: nothing past the failure, so step 0 is the last index
+        assert (traj.last_index, traj.singular) == (0, ZERO_BRACKET)
         assert traj.products == ()  # the failed step's product is not kept
 
     def test_singular_step_labelled_by_iterate(self):
         # V_0..V_2 = 1, 2, 3 and V_3 = V_2 - 3 = 0: the bracket of step 2
-        # vanishes, and iterate, not step, names the step
+        # vanishes, and the trajectory stops at x_2, so its last index is
+        # the step (step itself raises only the cause)
         stream = CoefficientStream.explicit([(1, 1), (1, 1), (1, -3)])
         traj = iterate(ONES, stream, 3)
-        assert traj.singular == SingularReport(2, ZERO_BRACKET)
-        assert traj.last_index == 2
+        assert (traj.last_index, traj.singular) == (2, ZERO_BRACKET)
 
     def test_depends_only_on_window(self):
         # x_1 only reads x_{-3}, x_{-2}, x_0; perturbing x_{-1} cannot change it
@@ -164,12 +163,11 @@ class TestIterate:
         traj = iterate(InitialConditions.of(0, 1, 1, 1), CoefficientStream.constant(2, 1), 6)
         assert traj.values == (0, 1, 1, 1, 0, 0, 0)
         assert traj.products == (0, 0, 0)
-        assert (traj.singular.step, traj.singular.cause) == (3, ZERO_X_FACTOR)
+        assert (traj.last_index, traj.singular) == (3, ZERO_X_FACTOR)
 
     def test_zero_seed(self):
-        rep = iterate(InitialConditions.of(1, 0, 1, 1),
-                      CoefficientStream.constant(7, 5), 10).singular
-        assert rep is not None and (rep.step, rep.cause) == (0, ZERO_X_FACTOR)
+        traj = iterate(InitialConditions.of(1, 0, 1, 1), CoefficientStream.constant(7, 5), 10)
+        assert (traj.last_index, traj.singular) == (0, ZERO_X_FACTOR)
 
 
 EXP_ALT = [1, -1, 1, -1, 1, -1]           # (-1)^k

@@ -17,7 +17,7 @@ selection, so CI audits only the modules whose selections are short:
 engine.py (``tests/test_engine.py tests/test_symmetry.py::TestPhi``, about
 30 s in all), reduced.py (``tests/test_reduced.py``, about 10 s),
 cli.py (``tests/test_cli.py``, about 100 s) and rational.py
-(``tests/test_rational.py``, about 2 min).  The other modules are audited
+(``tests/test_rational.py``, about 1 min).  The other modules are audited
 by hand; README.md lists their selections.  Exit
 status: 0 when every mutant is killed, 1 when one survives, 2 when the
 unmutated module already fails.
