@@ -42,8 +42,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 from ratrec import symmetry
 from ratrec.closed_form import ClosedFormError, branch, x_closed
@@ -61,14 +59,17 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    initial: InitialConditions
-    coefficients: CoefficientStream
-    horizon: int = 10
-    index: Optional[int] = None
-    trials: int = 100
-    seed: int = 0
+    """A run's seeds, stream and settings; a setting's class value is its default."""
+
+    horizon = 10
+    index = None
+    trials = 100
+    seed = 0
+
+    def __init__(self, initial: InitialConditions, coefficients: CoefficientStream):
+        self.initial = initial
+        self.coefficients = coefficients
 
 
 # each integer setting, from the config or its flag: (least value or None,
@@ -151,10 +152,10 @@ def parse_config(raw: dict, **flags) -> RunConfig:
 # commands build records and an exit code; main alone emits them, so CSV
 # and JSONL carry identical fields
 
-Result = Tuple[List[Dict], int]
+Result = tuple[list[dict], int]
 
 
-def emit(records: List[Dict], fmt: str, path: Optional[str]) -> None:
+def emit(records: list[dict], fmt: str, path: str | None) -> None:
     """Write the records to the file at path, or to stdout, which ``main``
     buffers.  A file that cannot be opened or written is a config error."""
     try:

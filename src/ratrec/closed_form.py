@@ -39,8 +39,6 @@ Every stream, constant ones included, takes this one path.
 
 from __future__ import annotations
 
-from typing import List
-
 from ratrec.core import (
     CoefficientStream,
     InitialConditions,
@@ -55,7 +53,7 @@ class ClosedFormError(ArithmeticError):
 
 
 def _v_checked(ic: InitialConditions, coeffs: CoefficientStream,
-               n: int) -> List[Rational]:
+               n: int) -> list[Rational]:
     """V_0..V_n from V_0 = 1/(x_{-3} x_0); ClosedFormError for a zero seed,
     then at the first V_t = 0: x_t, and every later value, does not exist."""
     if not ic.all_nonzero():
@@ -79,7 +77,7 @@ def branch(coeffs: CoefficientStream) -> str:
     return "aneg1" if a == -1 else "aneq1"
 
 
-def _balanced_product(factors: List[Rational]) -> Rational:
+def _balanced_product(factors: list[Rational]) -> Rational:
     """The product of a non-empty list, taken as the product of its two
     halves, so that the operands of every multiplication are about the same
     size and Karatsuba multiplication does the work."""
@@ -89,7 +87,7 @@ def _balanced_product(factors: List[Rational]) -> Rational:
     return _balanced_product(factors[:half]) * _balanced_product(factors[half:])
 
 
-def _block_product(ic: InitialConditions, vs: List[Rational], n: int, j: int) -> Rational:
+def _block_product(ic: InitialConditions, vs: list[Rational], n: int, j: int) -> Rational:
     """x_m, m = 6n + j - 3, from a checked fold holding at least V_0..V_m:
     the prefactor times the n block ratios V_{6s+j}/V_{6s+j+3}, multiplied
     in a balanced product tree.  At n = 0 the product is the prefactor alone."""

@@ -5,8 +5,8 @@ whose product, quotient and sum skip ``Fraction``'s generic dispatch.  They
 are made only at the boundary: ``parse_rational``, ``InitialConditions.of``,
 the ``CoefficientStream`` classmethods (and so the bare-scalar entry point
 ``x_closed_constant``) and the verify sampler.  Kernels never coerce: they
-run on any field scalar with + - * / and == 0, which the raw dataclass
-constructors pass through.
+run on any field scalar with + - * / and == 0, which the raw constructors
+pass through.
 Rational literals are "p/q" or integer strings; decimals are rejected on
 purpose, since a decimal string is ambiguous as an exact value.
 
@@ -19,8 +19,7 @@ as m = 6n + j - 3 with block number n >= 0 and residue j in 0..5.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from collections import namedtuple
 
 from ratrec.rational import Rational
 
@@ -51,38 +50,38 @@ def format_rational(x: Rational) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
-class CoefficientStream:
+class CoefficientStream(namedtuple("CoefficientStream", "kind pairs")):
     """Total deterministic map n -> (a_n, b_n) for n >= 0.
 
     Three kinds: constant (a, b), periodic over a tuple of pairs, or an
-    explicit finite list of pairs with a hard horizon.
+    explicit finite list of pairs with a hard horizon.  ``kind`` is
+    "constant", "periodic" or "list"; ``pairs`` is a tuple of (a, b).
     """
 
-    kind: str  # "constant" | "periodic" | "list"
-    pairs: Tuple[Tuple[Rational, Rational], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "periodic", "list"):
-            raise ValueError(f"unknown stream kind: {self.kind!r}")
-        if not self.pairs:
+    def __new__(cls, kind: str, pairs: tuple[tuple[Rational, Rational], ...]):
+        if kind not in ("constant", "periodic", "list"):
+            raise ValueError(f"unknown stream kind: {kind!r}")
+        if not pairs:
             raise ValueError("stream needs at least one (a, b) pair")
-        if self.kind == "constant" and len(self.pairs) != 1:
+        if kind == "constant" and len(pairs) != 1:
             raise ValueError("constant stream takes exactly one pair")
+        return tuple.__new__(cls, (kind, pairs))
 
     @classmethod
-    def constant(cls, a, b) -> "CoefficientStream":
+    def constant(cls, a, b) -> CoefficientStream:
         return cls("constant", ((Rational(a), Rational(b)),))
 
     @classmethod
-    def periodic(cls, pairs: Sequence[Tuple[Rational, Rational]]) -> "CoefficientStream":
+    def periodic(cls, pairs) -> CoefficientStream:
         return cls("periodic", tuple((Rational(a), Rational(b)) for a, b in pairs))
 
     @classmethod
-    def explicit(cls, pairs: Sequence[Tuple[Rational, Rational]]) -> "CoefficientStream":
+    def explicit(cls, pairs) -> CoefficientStream:
         return cls("list", tuple((Rational(a), Rational(b)) for a, b in pairs))
 
-    def at(self, n: int) -> Tuple[Rational, Rational]:
+    def at(self, n: int) -> tuple[Rational, Rational]:
         if n < 0:
             raise IndexError(f"stream index must be >= 0, got {n}")
         if self.kind == "list" and n >= len(self.pairs):
@@ -93,35 +92,30 @@ class CoefficientStream:
         return self.pairs[n % len(self.pairs)]
 
 
-@dataclass(frozen=True)
-class InitialConditions:
+class InitialConditions(namedtuple("InitialConditions", "x_m3 x_m2 x_m1 x_0")):
     """The four seeds x_{-3}, x_{-2}, x_{-1}, x_0."""
 
-    x_m3: Rational
-    x_m2: Rational
-    x_m1: Rational
-    x_0: Rational
+    __slots__ = ()
 
     @classmethod
-    def of(cls, x_m3, x_m2, x_m1, x_0) -> "InitialConditions":
+    def of(cls, x_m3, x_m2, x_m1, x_0) -> InitialConditions:
         return cls(Rational(x_m3), Rational(x_m2), Rational(x_m1), Rational(x_0))
 
-    def as_tuple(self) -> Tuple[Rational, Rational, Rational, Rational]:
-        return (self.x_m3, self.x_m2, self.x_m1, self.x_0)
+    def as_tuple(self) -> tuple[Rational, Rational, Rational, Rational]:
+        return tuple(self)
 
     def all_nonzero(self) -> bool:
         return all(v != 0 for v in self.as_tuple())
 
 
-def decompose_index(m: int) -> Tuple[int, int]:
+def decompose_index(m: int) -> tuple[int, int]:
     """Unique (n, j) with m = 6n + j - 3, j in 0..5, n >= 0."""
     if m < -3:
         raise IndexError(f"x-index must be >= -3, got {m}")
     return divmod(m + 3, 6)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "values products singular", defaults=(None,))):
     """Exact values x_{-3}, x_{-2}, ... with optional singular truncation.
 
     ``values[i]`` is x_{i-3}; ``products[n]`` is step n's window product
@@ -131,9 +125,7 @@ class Trajectory:
     follows.
     """
 
-    values: Tuple[Rational, ...]
-    products: Tuple[Rational, ...]
-    singular: Optional[str] = None
+    __slots__ = ()
 
     @property
     def last_index(self) -> int:

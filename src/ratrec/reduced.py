@@ -13,7 +13,7 @@ constant coefficients the geometric sum, as exact oracles.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from ratrec.core import CoefficientStream, Rational
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Sequence
 
 _HALF_ROOT3 = math.sqrt(3.0) / 2.0
 
@@ -46,12 +45,12 @@ BUILTINS = {
 CONTROL = (complex(1.0, 0.0),) * 6
 
 
-def is_characteristic(g: Sequence[complex]) -> bool:
+def is_characteristic(g: tuple[complex, ...]) -> bool:
     """Whether the table g(0)..g(5) meets g(n) + g(n+3) = 0, exactly."""
     return all(a + b == 0 for a, b in zip(g, g[3:]))
 
 
-def symmetry_residual(g: Sequence[complex], n: int,
+def symmetry_residual(g: tuple[complex, ...], n: int,
                       u_n: float, u_n1: float, u_n3: float,
                       a_n: float, b_n: float) -> complex:
     """Residual of the linearized symmetry condition at a free sample point.
@@ -72,7 +71,7 @@ def symmetry_residual(g: Sequence[complex], n: int,
     )
 
 
-def random_samples(rng: random.Random, count: int) -> List[tuple]:
+def random_samples(rng: random.Random, count: int) -> list[tuple]:
     """``count`` free sample points (n, u_n, u_n1, u_n3, a, b): n in 0..23,
     the rest uniform in [0.5, 2], drawn in that order."""
     return [
@@ -83,7 +82,7 @@ def random_samples(rng: random.Random, count: int) -> List[tuple]:
     ]
 
 
-def residual_sweep(g: Sequence[complex], samples: Sequence[tuple]) -> float:
+def residual_sweep(g: tuple[complex, ...], samples: list[tuple]) -> float:
     """Max |symmetry_residual| over (n, u_n, u_n1, u_n3, a, b) samples."""
     worst = 0.0
     for n, u_n, u_n1, u_n3, a, b in samples:

@@ -12,8 +12,6 @@ and counted, not failed.  The float symmetry-residual sweep is only reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from ratrec.closed_form import _block_product, _v_checked
 from ratrec.core import CoefficientStream, InitialConditions, Rational, decompose_index
@@ -51,24 +49,35 @@ def random_seeds(rng: random.Random) -> InitialConditions:
     return InitialConditions.of(*(random_rational(rng, nonzero=True) for _ in range(4)))
 
 
-@dataclass
 class Witness:
     """Minimal failing instance for a verification mismatch."""
 
-    seeds: InitialConditions
-    stream: CoefficientStream
-    index: int
-    expected: Rational
-    got: Rational
+    __slots__ = ("seeds", "stream", "index", "expected", "got")
+
+    def __init__(self, seeds: InitialConditions, stream: CoefficientStream, index: int,
+                 expected: Rational, got: Rational):
+        self.seeds, self.stream, self.index = seeds, stream, index
+        self.expected, self.got = expected, got
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is Witness else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields())
+        return f"Witness({', '.join(f'{k}={v!r}' for k, v in fields)})"
 
 
-@dataclass
 class VerificationReport:
-    trials_run: int = 0
-    trials_skipped: int = 0
-    max_symmetry_residual: float = 0.0
-    witness: Optional[Witness] = None
-    indices_checked: int = 0
+    """One run's counts and its first witness; each starts at the class's value."""
+
+    trials_run = 0
+    trials_skipped = 0
+    max_symmetry_residual = 0.0
+    witness = None  # the first Witness, if any
+    indices_checked = 0
 
     @property
     def all_exact_match(self) -> bool:
@@ -76,7 +85,7 @@ class VerificationReport:
 
 
 def check_instance(ic: InitialConditions, stream: CoefficientStream,
-                   horizon: int) -> Optional[Witness]:
+                   horizon: int) -> Witness | None:
     """Check the V reduction at every index, and the block product at three.
 
     Each V_t, t = 1..horizon-1, of the closed form's checked fold (V_0 is its

@@ -504,6 +504,16 @@ class TestModuleEntryPoint:
                               stdout=stdout, stderr=stderr, preexec_fn=preexec,
                               env={**env, "PYTHONPATH": path}, timeout=120)
 
+    def test_import_leaves_out_dataclasses_inspect_and_typing(self):
+        # each process pays for what importing the CLI loads; -S keeps the
+        # site hooks' own imports out of the count
+        src = os.path.dirname(os.path.dirname(ratrec.__file__))
+        code = ("import sys, ratrec.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+
     def test_help(self):
         proc = self._run("--help")
         out = proc.stdout.decode()

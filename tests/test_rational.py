@@ -81,13 +81,21 @@ class TestExactOperands:
                     assert_exact(n / Rational(y), n / Fraction(y))
 
     def test_zero_divisor(self):
-        for x in OPERANDS:
+        # Fraction's own error, message included, for every dividend, 0 too
+        for x in [*OPERANDS, *INTS]:
+            want = zero_division_message(lambda: Fraction(x) / Fraction(0))
             for zero in (Rational(0), Fraction(0)):
-                with pytest.raises(ZeroDivisionError):
-                    Rational(x) / zero
-        for n in (1, 0, -2):
-            with pytest.raises(ZeroDivisionError):
-                n / Rational(0)
+                assert zero_division_message(lambda: Rational(x) / zero) == want
+        for n in INTS:
+            want = zero_division_message(lambda: n / Fraction(0))
+            assert zero_division_message(lambda: n / Rational(0)) == want
+
+
+def zero_division_message(divide) -> str:
+    with pytest.raises(ZeroDivisionError) as info:
+        divide()
+    assert type(info.value) is ZeroDivisionError
+    return str(info.value)
 
 
 class Other(Fraction):
