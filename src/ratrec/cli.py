@@ -46,6 +46,7 @@ import sys
 from ratrec import symmetry
 from ratrec.closed_form import ClosedFormError, branch, x_closed
 from ratrec.core import (
+    STREAM_KINDS,
     CoefficientStream,
     InitialConditions,
     format_rational,
@@ -59,36 +60,24 @@ class ConfigError(ValueError):
     pass
 
 
-class RunConfig:
-    """A run's seeds, stream and settings; a setting's class value is its default."""
-
-    horizon = 10
-    index = None
-    trials = 100
-    seed = 0
-
-    def __init__(self, initial: InitialConditions, coefficients: CoefficientStream):
-        self.initial = initial
-        self.coefficients = coefficients
-
-
-# each integer setting, from the config or its flag: (least value or None,
-# flag help).  The seeds cover x_{-3}..x_0, so horizon >= 0; an empty run
-# checks nothing, so trials >= 1.
+# each integer setting, from the config or its flag: (default, least value
+# or None, flag help).  The seeds cover x_{-3}..x_0, so horizon >= 0; an
+# empty run checks nothing, so trials >= 1.
 _SETTINGS = {
-    "index": (None, "target index m (closed mode)"),
-    "horizon": (0, "last index to compute/verify"),
-    "trials": (1, "trial/sample count"),
-    "seed": (None, "RNG seed"),
+    "index": (None, None, "target index m (closed mode)"),
+    "horizon": (10, 0, "last index to compute/verify"),
+    "trials": (100, 1, "trial/sample count"),
+    "seed": (0, None, "RNG seed"),
 }
 _MODES = ("iterate", "closed", "verify", "symmetry")  # each runs cmd_<mode>
 _TOP_KEYS = {"initial", "coefficients", *_SETTINGS}
-_INITIAL_KEYS = ("x_m3", "x_m2", "x_m1", "x_0")  # x_{-3}..x_0, in constructor order
-_COEFF_KEYS = {"constant": {"kind", "a", "b"}, "periodic": {"kind", "pairs"},
-               "list": {"kind", "pairs"}}
+_INITIAL_KEYS = InitialConditions._fields  # x_{-3}..x_0, in constructor order
+# the keys each stream kind takes: constant a single pair, the others a list
+_COEFF_KEYS = {kind: {"kind", *(("a", "b") if kind == "constant" else ("pairs",))}
+               for kind in STREAM_KINDS}
 
 
-def load_config(path: str, **flags) -> RunConfig:
+def load_config(path: str, **flags) -> argparse.Namespace:
     """Read the JSON config at path; each keyword replaces the setting of its name."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -98,8 +87,10 @@ def load_config(path: str, **flags) -> RunConfig:
     return parse_config(raw, **flags)
 
 
-def parse_config(raw: dict, **flags) -> RunConfig:
-    """Check a JSON config object; each keyword replaces the setting of its name."""
+def parse_config(raw: dict, **flags) -> argparse.Namespace:
+    """Check a JSON config object; each keyword replaces the setting of its name.
+    The run is a namespace of the seeds (``initial``), the stream
+    (``coefficients``) and each setting."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = (set(raw) - _TOP_KEYS) | (set(flags) - set(_SETTINGS))
@@ -121,7 +112,7 @@ def parse_config(raw: dict, **flags) -> RunConfig:
     kind = co.get("kind") if isinstance(co, dict) else None
     # a JSON array or object is unhashable, so it cannot be looked up
     if not isinstance(kind, str) or kind not in _COEFF_KEYS:
-        raise ConfigError(f"coefficients.kind must be constant|periodic|list, got {kind!r}")
+        raise ConfigError(f"coefficients.kind must be {'|'.join(STREAM_KINDS)}, got {kind!r}")
     if set(co) != _COEFF_KEYS[kind]:
         raise ConfigError(f"bad coefficients: {kind} takes exactly {sorted(_COEFF_KEYS[kind])}")
     try:
@@ -134,17 +125,18 @@ def parse_config(raw: dict, **flags) -> RunConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad coefficients: {exc}")
 
-    cfg = RunConfig(initial=ic, coefficients=stream)
-    for key, (least, _) in _SETTINGS.items():
-        # the config value, then the keyword: each is type-checked, the last one kept
+    cfg = argparse.Namespace(initial=ic, coefficients=stream)
+    for key, (default, least, _) in _SETTINGS.items():
+        # the default, then the config value, then the keyword: each one given
+        # is type-checked, the last one kept
+        value = default
         for value in [source[key] for source in (raw, flags) if key in source]:
             # bool is an int subclass, and int() would truncate 2.9 or read "5"
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"bad {key}: expected a JSON integer, got {value!r}")
-            setattr(cfg, key, value)
-        value = getattr(cfg, key)
         if least is not None and value < least:
             raise ConfigError(f"bad {key}: expected an integer >= {least}, got {value}")
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -171,7 +163,7 @@ def emit(records: list[dict], fmt: str, path: str | None) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}")
 
 
-def cmd_iterate(cfg: RunConfig) -> Result:
+def cmd_iterate(cfg: argparse.Namespace) -> Result:
     traj = iterate(cfg.initial, cfg.coefficients, cfg.horizon)
     records = [{"m": m, "x": format_rational(traj.x(m)), "status": "ok",
                 "step": "", "cause": ""}
@@ -182,7 +174,7 @@ def cmd_iterate(cfg: RunConfig) -> Result:
     return records, 0
 
 
-def cmd_closed(cfg: RunConfig) -> Result:
+def cmd_closed(cfg: argparse.Namespace) -> Result:
     if cfg.index is None:
         raise ConfigError("closed mode requires an index (--index or config)")
     value = x_closed(cfg.initial, cfg.coefficients, cfg.index)
@@ -190,7 +182,7 @@ def cmd_closed(cfg: RunConfig) -> Result:
              "branch": branch(cfg.coefficients)}], 0
 
 
-def cmd_verify(cfg: RunConfig) -> Result:
+def cmd_verify(cfg: argparse.Namespace) -> Result:
     report = run_verification(trials=cfg.trials, horizon=cfg.horizon, seed=cfg.seed)
     record = {
         "trials_run": report.trials_run,
@@ -212,7 +204,7 @@ def cmd_verify(cfg: RunConfig) -> Result:
     return [record], 0 if report.all_exact_match and exact else 1
 
 
-def cmd_symmetry(cfg: RunConfig) -> Result:
+def cmd_symmetry(cfg: argparse.Namespace) -> Result:
     samples = symmetry.random_samples(random.Random(cfg.seed), cfg.trials)
     records = []
     for label, g in [*symmetry.BUILTINS.items(), ("control-g1", symmetry.CONTROL)]:
@@ -232,10 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "x_{n+1} = x_{n-3}x_n / (x_{n-2}(a_n + b_n x_{n-3}x_n)).")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--mode", required=True, choices=_MODES)
-    for key, (_, text) in _SETTINGS.items():
+    for key, (default, _, text) in _SETTINGS.items():
         # named, not passed as default=: main reads every flag that is not None
         # as an override of the config
-        default = getattr(RunConfig, key)
         p.add_argument("--" + key, type=int,
                        help=text if default is None else f"{text} (default {default})")
     p.add_argument("--output", choices=["csv", "jsonl"], default="csv")

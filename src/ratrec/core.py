@@ -23,7 +23,9 @@ from collections import namedtuple
 
 from ratrec.rational import Rational
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: str's \d, and int(), also read other scripts' digits
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+STREAM_KINDS = ("constant", "periodic", "list")  # verify's sampler draws in this order
 
 
 def parse_rational(text: str) -> Rational:
@@ -54,14 +56,14 @@ class CoefficientStream(namedtuple("CoefficientStream", "kind pairs")):
     """Total deterministic map n -> (a_n, b_n) for n >= 0.
 
     Three kinds: constant (a, b), periodic over a tuple of pairs, or an
-    explicit finite list of pairs with a hard horizon.  ``kind`` is
-    "constant", "periodic" or "list"; ``pairs`` is a tuple of (a, b).
+    explicit finite list of pairs with a hard horizon.  ``kind`` is one of
+    ``STREAM_KINDS``; ``pairs`` is a tuple of (a, b).
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, pairs: tuple[tuple[Rational, Rational], ...]):
-        if kind not in ("constant", "periodic", "list"):
+        if kind not in STREAM_KINDS:
             raise ValueError(f"unknown stream kind: {kind!r}")
         if not pairs:
             raise ValueError("stream needs at least one (a, b) pair")

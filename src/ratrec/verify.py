@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 from ratrec.closed_form import _block_product, _v_checked
-from ratrec.core import CoefficientStream, InitialConditions, Rational, decompose_index
+from ratrec.core import (
+    STREAM_KINDS, CoefficientStream, InitialConditions, Rational, decompose_index)
 from ratrec.engine import iterate
 from ratrec import symmetry
 
@@ -32,7 +33,7 @@ def random_rational(rng: random.Random, nonzero: bool = True) -> Rational:
 
 
 def random_stream(rng: random.Random, horizon: int) -> CoefficientStream:
-    kind = rng.choice(["constant", "periodic", "list"])
+    kind = rng.choice(STREAM_KINDS)
     if kind == "constant":
         count = 1
     elif kind == "periodic":

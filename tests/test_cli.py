@@ -117,6 +117,25 @@ class TestConfigParsing:
                          "--mode", "iterate", "--out", str(tmp_path / "o")])
             assert code == 2
 
+    # one line on stderr, not a traceback, for a config that is not a JSON
+    # object, lacks a required key, or writes a digit that is not ASCII
+    # (int() reads ARABIC-INDIC DIGIT THREE as 3)
+    @pytest.mark.parametrize("config, message", [
+        ([], "config must be a JSON object"),
+        ([["x"]], "config must be a JSON object"),
+        ("s", "config must be a JSON object"),
+        (3, "config must be a JSON object"),
+        ({"coefficients": UNIT_CONFIG["coefficients"]},
+         "config missing required key 'initial'"),
+        ({"initial": UNIT_CONFIG["initial"]}, "config missing required key 'coefficients'"),
+        ({**UNIT_CONFIG, "coefficients": {"kind": "periodic", "pairs": [["\u0663", "1"]]}},
+         "bad coefficients: not a rational literal (expected 'p' or 'p/q'): '\u0663'"),
+    ], ids=["empty-array", "nested-array", "string", "number", "no-initial",
+            "no-coefficients", "non-ascii-digit"])
+    def test_config_error_stderr(self, config_path, capsys, config, message):
+        assert main(["--config", config_path(config), "--mode", "iterate"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     def test_missing_file_exit_code(self, tmp_path):
         out = tmp_path / "o"
         assert main(["--config", str(tmp_path / "nope.json"),
@@ -521,7 +540,7 @@ class TestModuleEntryPoint:
         # the flags are generated from the integer settings, and only from them
         assert all(f"--{key} " in out for key in ("index", "horizon", "trials", "seed"))
         assert "--tolerance" not in out
-        # each setting's help names RunConfig's default; index has none
+        # each setting's help names its default from cli._SETTINGS; index has none
         words = " ".join(out.split())
         for key, default in (("horizon", 10), ("trials", 100), ("seed", 0)):
             assert re.search(rf"--{key} {key.upper()} [^-]*\(default {default}\)", words)

@@ -27,7 +27,10 @@ class TestParseRational:
     def test_valid(self, text, expected):
         assert parse_rational(text) == expected
 
-    @pytest.mark.parametrize("text", ["1.5", "", "3/-7", "1/0", "a/b", "1e3", "1 / 2"])
+    # the last three are other scripts' digits, which int() would read as
+    # 3, 3/4 and 3: ARABIC-INDIC THREE, FULLWIDTH 3/4, MATHEMATICAL BOLD THREE
+    @pytest.mark.parametrize("text", ["1.5", "", "3/-7", "1/0", "a/b", "1e3", "1 / 2",
+                                      "\u0663", "\uff13/\uff14", "\U0001d7d1"])
     def test_invalid(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

@@ -100,6 +100,12 @@ class TestIterate:
         seeds = iterate(ONES, stream, 0)
         assert seeds.values == (1, 1, 1, 1) and seeds.products == () and seeds.is_regular
 
+    def test_negative_horizon(self):
+        # the seeds already cover -3..0: a horizon below 0 is refused, not
+        # answered with the seeds
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -1$"):
+            iterate(ONES, CoefficientStream.constant(1, 1), -1)
+
     def test_fixed_point(self):
         traj = iterate(ONES, CoefficientStream.constant(1, 0), 6)
         assert all(v == 1 for v in traj.values)

@@ -16,8 +16,10 @@ The mutants run one after another, each for about as long as the
 selection, so CI audits only the modules whose selections are short:
 engine.py (``tests/test_engine.py tests/test_symmetry.py::TestPhi``, about
 30 s in all), reduced.py (``tests/test_reduced.py``, about 10 s),
-cli.py (``tests/test_cli.py``, about 100 s) and rational.py
-(``tests/test_rational.py``, about 1 min).  The other modules are audited
+cli.py (``tests/test_cli.py``, about 100 s), rational.py
+(``tests/test_rational.py``, about 1 min) and verify.py
+(``tests/test_verify.py tests/test_cli.py::TestVerifyMode
+tests/test_acceptance.py``, about 1 min).  The other modules are audited
 by hand; README.md lists their selections.  Exit
 status: 0 when every mutant is killed, 1 when one survives, 2 when the
 unmutated module already fails.
