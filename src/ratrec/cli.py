@@ -193,7 +193,7 @@ def cmd_verify(cfg: argparse.Namespace) -> Result:
     if report.witness is not None:
         w = report.witness
         record.update({
-            "witness_seeds": ",".join(format_rational(v) for v in w.seeds.as_tuple()),
+            "witness_seeds": ",".join(format_rational(v) for v in w.seeds),
             "witness_stream": w.stream.kind + ":" + ";".join(
                 f"{format_rational(a)},{format_rational(b)}" for a, b in w.stream.pairs),
             "witness_index": w.index,

@@ -91,9 +91,8 @@ def _block_product(ic: InitialConditions, vs: list[Rational], n: int, j: int) ->
     """x_m, m = 6n + j - 3, from a checked fold holding at least V_0..V_m:
     the prefactor times the n block ratios V_{6s+j}/V_{6s+j+3}, multiplied
     in a balanced product tree.  At n = 0 the product is the prefactor alone."""
-    seeds = ic.as_tuple()
     # the prefactor x_{j-3}: a seed, or for j = 4, 5 V's definition inverted at t = j - 3
-    head = seeds[j] if j <= 3 else 1 / (seeds[j - 3] * vs[j - 3])
+    head = ic[j] if j <= 3 else 1 / (ic[j - 3] * vs[j - 3])
     return _balanced_product([head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
 
 

@@ -24,7 +24,7 @@ from collections import namedtuple
 from ratrec.rational import Rational
 
 # ASCII digits only: str's \d, and int(), also read other scripts' digits
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 STREAM_KINDS = ("constant", "periodic", "list")  # verify's sampler draws in this order
 
 
@@ -32,19 +32,19 @@ def parse_rational(text: str) -> Rational:
     """Parse "p/q" or an integer string into an exact rational.
 
     Raises TypeError on a non-string (a JSON number, say) and ValueError on
-    any other string (decimals, blanks, stray signs in the denominator).
+    any other string (decimals, blanks, padding, stray signs in the
+    denominator).
     """
     if not isinstance(text, str):
         raise TypeError(f"rational literal must be a string, got {text!r}")
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal (expected 'p' or 'p/q'): {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
+    if "/" in text:
+        num, den = text.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator: {text!r}")
         return Rational(int(num), int(den))
-    return Rational(int(s))
+    return Rational(int(text))
 
 
 def format_rational(x: Rational) -> str:
@@ -107,7 +107,7 @@ class InitialConditions(namedtuple("InitialConditions", "x_m3 x_m2 x_m1 x_0")):
         return tuple(self)
 
     def all_nonzero(self) -> bool:
-        return all(v != 0 for v in self.as_tuple())
+        return all(v != 0 for v in self)
 
 
 def decompose_index(m: int) -> tuple[int, int]:

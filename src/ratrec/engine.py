@@ -48,7 +48,7 @@ def iterate(ic: InitialConditions, coeffs: CoefficientStream, horizon: int) -> T
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    values: list[Rational] = list(ic.as_tuple())
+    values: list[Rational] = list(ic)
     products: list[Rational] = []
     for n in range(horizon):
         a_n, b_n = coeffs.at(n)

@@ -126,6 +126,26 @@ def to_gf(ic, stream):
             CoefficientStream(stream.kind, tuple((GF(a), GF(b)) for a, b in stream.pairs)))
 
 
+# ---------------------------------------------------------------------------
+# shared instances, small samplers and messages
+
+ONES = InitialConditions.of(1, 1, 1, 1)
+UNIT_STREAM = CoefficientStream.constant(1, 1)
+
+
+def small_rational(rng, nonzero=False):
+    num = rng.choice([k for k in range(-2, 3) if k or not nonzero])
+    return Fraction(num, rng.choice([1, 2]))
+
+
+def small_pair(rng):
+    return small_rational(rng), small_rational(rng)
+
+
+def vanished(t):
+    return rf"^V\({t}\) vanished: x_{t} does not exist$"
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260826)

@@ -25,10 +25,9 @@ from ratrec.engine import iterate
 from ratrec.reduced import v_step, v_values
 from ratrec import symmetry
 from ratrec.verify import random_seeds, random_stream
-from tests.conftest import batch_values, gamma_pow, q_mul, v_from, weight, weighted_product
+from tests.conftest import ONES, batch_values, gamma_pow, q_mul, v_from, weight, weighted_product
 
 HORIZON = 297
-ONES = InitialConditions.of(1, 1, 1, 1)
 
 
 def report(criterion, ok, detail=""):

@@ -118,8 +118,8 @@ class TestConfigParsing:
             assert code == 2
 
     # one line on stderr, not a traceback, for a config that is not a JSON
-    # object, lacks a required key, or writes a digit that is not ASCII
-    # (int() reads ARABIC-INDIC DIGIT THREE as 3)
+    # object, lacks a required key, writes a digit that is not ASCII
+    # (int() reads ARABIC-INDIC DIGIT THREE as 3) or pads a literal
     @pytest.mark.parametrize("config, message", [
         ([], "config must be a JSON object"),
         ([["x"]], "config must be a JSON object"),
@@ -130,8 +130,10 @@ class TestConfigParsing:
         ({"initial": UNIT_CONFIG["initial"]}, "config missing required key 'coefficients'"),
         ({**UNIT_CONFIG, "coefficients": {"kind": "periodic", "pairs": [["\u0663", "1"]]}},
          "bad coefficients: not a rational literal (expected 'p' or 'p/q'): '\u0663'"),
+        ({**UNIT_CONFIG, "initial": {**UNIT_CONFIG["initial"], "x_0": " 3"}},
+         "bad initial value: not a rational literal (expected 'p' or 'p/q'): ' 3'"),
     ], ids=["empty-array", "nested-array", "string", "number", "no-initial",
-            "no-coefficients", "non-ascii-digit"])
+            "no-coefficients", "non-ascii-digit", "padded-seed"])
     def test_config_error_stderr(self, config_path, capsys, config, message):
         assert main(["--config", config_path(config), "--mode", "iterate"]) == 2
         assert capsys.readouterr() == ("", f"config error: {message}\n")

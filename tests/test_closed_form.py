@@ -13,16 +13,12 @@ from ratrec.core import CoefficientStream, InitialConditions, decompose_index
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
 from ratrec.verify import check_instance, random_seeds, random_stream
-from tests.conftest import GF, batch_values, corrupt_fold, fold_v, to_gf, v_from
+from tests.conftest import (
+    GF, ONES, UNIT_STREAM, batch_values, corrupt_fold, fold_v, small_pair, small_rational, to_gf,
+    v_from, vanished)
 
-ONES = InitialConditions.of(1, 1, 1, 1)
-UNIT_STREAM = CoefficientStream.constant(1, 1)
 # the two messages of ClosedFormError, one per rule of the domain
 ZERO_SEED = r"^closed form requires all four initial values nonzero$"
-
-
-def vanished(t):
-    return rf"^V\({t}\) vanished: x_{t} does not exist$"
 
 
 def literal_t(stream, w, t):
@@ -324,15 +320,6 @@ class TestOneFold:
             steps.clear()
             assert check_instance(ONES, stream, horizon) is None
             assert len(steps) == horizon
-
-
-def small_rational(rng, nonzero=False):
-    num = rng.choice([k for k in range(-2, 3) if k or not nonzero])
-    return Fraction(num, rng.choice([1, 2]))
-
-
-def small_pair(rng):
-    return small_rational(rng), small_rational(rng)
 
 
 class TestDomain:

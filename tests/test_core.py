@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-import ratrec
 from ratrec.core import (
     CoefficientStream,
     InitialConditions,
@@ -27,10 +26,13 @@ class TestParseRational:
     def test_valid(self, text, expected):
         assert parse_rational(text) == expected
 
-    # the last three are other scripts' digits, which int() would read as
-    # 3, 3/4 and 3: ARABIC-INDIC THREE, FULLWIDTH 3/4, MATHEMATICAL BOLD THREE
+    # after "1 / 2": other scripts' digits, which int() would read as 3, 3/4
+    # and 3 (ARABIC-INDIC THREE, FULLWIDTH 3/4, MATHEMATICAL BOLD THREE), then
+    # padding that str.strip() would remove (NO-BREAK SPACE, IDEOGRAPHIC SPACE,
+    # a space, FILE SEPARATOR, a newline)
     @pytest.mark.parametrize("text", ["1.5", "", "3/-7", "1/0", "a/b", "1e3", "1 / 2",
-                                      "\u0663", "\uff13/\uff14", "\U0001d7d1"])
+                                      "\u0663", "\uff13/\uff14", "\U0001d7d1",
+                                      "\xa03", "3\u3000", " 3/4", "3\x1c", "3\n"])
     def test_invalid(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
@@ -116,10 +118,3 @@ class TestInitialConditions:
         assert ic.as_tuple() == (1, 0, 2, 3)
         assert not ic.all_nonzero()
         assert InitialConditions.of(1, 1, 1, 1).all_nonzero()
-
-
-def test_star_import_finds_every_public_name():
-    # a name in __all__ that the package lacks makes the star import raise
-    namespace = {}
-    exec("from ratrec import *", namespace)
-    assert set(ratrec.__all__) <= set(namespace)

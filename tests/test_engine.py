@@ -11,10 +11,7 @@ from ratrec.engine import (
     step,
 )
 from ratrec.verify import random_seeds, random_stream
-from tests.conftest import GF
-from tests.test_closed_form import small_rational
-
-ONES = InitialConditions.of(1, 1, 1, 1)
+from tests.conftest import GF, ONES, small_rational
 
 
 def literal_step(x_nm3, x_nm2, x_n, a_n, b_n):

@@ -18,10 +18,8 @@ from ratrec.core import CoefficientStream, InitialConditions, Rational
 from ratrec.engine import iterate
 from ratrec.reduced import v_values
 from ratrec.verify import random_seeds, random_stream
-from tests.conftest import GF, batch_values, to_gf, v_from
-from tests.test_closed_form import small_pair, small_rational, vanished
+from tests.conftest import GF, ONES, batch_values, small_pair, small_rational, to_gf, v_from, vanished
 
-ONES = InitialConditions.of(1, 1, 1, 1)
 HORIZON = 24
 
 

@@ -13,10 +13,7 @@ from ratrec.reduced import v_step
 from ratrec import symmetry
 from ratrec.symmetry import BUILTINS, CONTROL, is_characteristic, symmetry_residual
 from ratrec.verify import random_rational, random_seeds, random_stream
-from tests.conftest import gamma_pow, q_mul, v_from, weight, weighted_product
-
-ONES = InitialConditions.of(1, 1, 1, 1)
-UNIT_STREAM = CoefficientStream.constant(1, 1)
+from tests.conftest import ONES, UNIT_STREAM, gamma_pow, q_mul, v_from, weight, weighted_product
 
 IDENT_TOL = 1e-10
 TABLE_TOL = 1e-12

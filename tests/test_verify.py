@@ -10,11 +10,8 @@ from ratrec.closed_form import ClosedFormError, x_closed
 from ratrec.core import CoefficientStream, InitialConditions
 from ratrec.engine import iterate
 from ratrec.verify import Witness, _Skip, check_instance, run_verification
-from tests.conftest import batch_values, corrupt_fold, v_from
-from tests.test_closed_form import small_pair, small_rational
-
-ONES = InitialConditions.of(1, 1, 1, 1)
-UNIT_STREAM = CoefficientStream.constant(1, 1)
+from tests.conftest import (
+    ONES, UNIT_STREAM, batch_values, corrupt_fold, small_pair, small_rational, v_from)
 
 
 class TestSkips:
