@@ -31,13 +31,19 @@ value and ``verify`` once per instance, each reading every V from that fold.
 
 Cost: the fold advances V one coefficient at a time, O(m) field operations.
 The n block ratios V_{6s+j}/V_{6s+j+3} are then formed, each cancelling the
-coefficient denominators its two factors share while they are small, and
-multiplied in a balanced tree, so the two operands of every multiplication
-(and of the two cross gcds of an exact product) are of about the same size.
-Every stream, constant ones included, takes this one path.
+coefficient denominators its two factors share while they are small.  For
+exact rationals their numerators and their denominators are multiplied as
+integers, each in a balanced product tree, and one gcd cancels the two
+products' common factor, about a thousand bits at m = 1500: cross gcds at
+every merge of a tree of rationals would cost more and find almost nothing.
+Any other field scalar multiplies the ratios themselves in that tree.  Every
+stream, constant ones included, takes this one path.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from ratrec.core import (
     CoefficientStream,
@@ -45,6 +51,7 @@ from ratrec.core import (
     Rational,
     decompose_index,
 )
+from ratrec.rational import _rational
 from ratrec.reduced import v_values
 
 
@@ -77,10 +84,10 @@ def branch(coeffs: CoefficientStream) -> str:
     return "aneg1" if a == -1 else "aneq1"
 
 
-def _balanced_product(factors: list[Rational]) -> Rational:
-    """The product of a non-empty list, taken as the product of its two
-    halves, so that the operands of every multiplication are about the same
-    size and Karatsuba multiplication does the work."""
+def _balanced_product(factors: list):
+    """The product of a non-empty list of field scalars or ints, taken as the
+    product of its two halves, so that the operands of every multiplication
+    are about the same size and Karatsuba multiplication does the work."""
     if len(factors) == 1:
         return factors[0]
     half = len(factors) // 2
@@ -90,10 +97,19 @@ def _balanced_product(factors: list[Rational]) -> Rational:
 def _block_product(ic: InitialConditions, vs: list[Rational], n: int, j: int) -> Rational:
     """x_m, m = 6n + j - 3, from a checked fold holding at least V_0..V_m:
     the prefactor times the n block ratios V_{6s+j}/V_{6s+j+3}, multiplied
-    in a balanced product tree.  At n = 0 the product is the prefactor alone."""
+    in balanced product trees.  At n = 0 the product is the prefactor alone."""
     # the prefactor x_{j-3}: a seed, or for j = 4, 5 V's definition inverted at t = j - 3
     head = ic[j] if j <= 3 else 1 / (ic[j - 3] * vs[j - 3])
-    return _balanced_product([head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)])
+    if n == 0:
+        return head
+    factors = [head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)]
+    if not all(isinstance(f, (Fraction, int)) for f in factors):
+        return _balanced_product(factors)
+    # exact rationals, each in lowest terms with a positive denominator
+    num = _balanced_product([f.numerator for f in factors])
+    den = _balanced_product([f.denominator for f in factors])
+    g = gcd(num, den)
+    return _rational(num // g, den // g)
 
 
 def x_closed(ic: InitialConditions, coeffs: CoefficientStream, m: int) -> Rational:

@@ -44,7 +44,7 @@ def batch_values(ic, vs):
     x_t = 1/(x_{t-3} V_t), V's definition inverted, on any field scalar.
     Takes V as given, so a test chooses the fold: ``fold_v`` for an
     independent oracle, the package's own to reach a fault injected in it."""
-    out = list(ic.as_tuple())
+    out = list(ic)
     for t in range(1, len(vs)):
         # out[t] is x_{t-3}
         out.append(1 / (out[t] * vs[t]))
@@ -122,7 +122,7 @@ class GF:
 
 def to_gf(ic, stream):
     """The same instance over GF(p), built with the raw constructors."""
-    return (InitialConditions(*map(GF, ic.as_tuple())),
+    return (InitialConditions(*map(GF, ic)),
             CoefficientStream(stream.kind, tuple((GF(a), GF(b)) for a, b in stream.pairs)))
 
 

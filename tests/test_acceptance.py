@@ -156,7 +156,7 @@ def test_criterion_6_group_action_invariance():
         pattern = patterns[done % 2]
         lam = rng.choice(lambdas)
         seeds = InitialConditions(
-            *(v * lam ** pattern[k % 6] for k, v in enumerate(ic.as_tuple())))
+            *(v * lam ** pattern[k % 6] for k, v in enumerate(ic)))
         scaled = iterate(seeds, stream, HORIZON)
         assert scaled.is_regular
         for m in range(-3, HORIZON + 1):

@@ -1,16 +1,20 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from ratrec import reduced
 from ratrec.closed_form import (
     ClosedFormError,
+    _balanced_product,
+    _v_checked,
     branch,
     x_closed,
     x_closed_constant,
 )
 from ratrec.core import CoefficientStream, InitialConditions, decompose_index
 from ratrec.engine import iterate
+from ratrec.rational import Rational
 from ratrec.reduced import v_values
 from ratrec.verify import check_instance, random_seeds, random_stream
 from tests.conftest import (
@@ -152,6 +156,33 @@ class TestBlockProductTree:
         assert sorted(decompose_index(m)[1] for m in ms) == list(range(6))
         for m in ms:
             assert x_closed(ic, stream, m) == traj.x(m)
+
+    @pytest.mark.parametrize("seed_type", [Rational, Fraction])
+    def test_exact_product_in_lowest_terms(self, rng, seed_type):
+        # every j at n = 1, 2 and near m = 300, with seeds x_{-2}, x_0 < 0 and
+        # every a_n, b_n <= 0; Fraction seeds with a Rational stream are
+        # what perfbench's closed-deep passes
+        ms = [*range(3, 15), *range(300, 306)]
+        while True:
+            seeds, stream = random_seeds(rng), random_stream(rng, 306)
+            ic = InitialConditions(*(seed_type(-abs(x) if k % 2 else x)
+                                     for k, x in enumerate(seeds)))
+            stream = CoefficientStream(stream.kind, tuple(
+                (Rational(-abs(a)), Rational(-abs(b))) for a, b in stream.pairs))
+            try:
+                vs = _v_checked(ic, stream, 305)
+                break
+            except ClosedFormError:
+                continue
+        batch = batch_values(ic, vs)
+        for m in ms:
+            n, j = decompose_index(m)
+            got = x_closed(ic, stream, m)
+            assert type(got) is Rational
+            assert gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+            # the tree of the ratios themselves, headed by x_{j-3}
+            ratios = [batch[j]] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)]
+            assert got == _balanced_product(ratios) == batch[m + 3]
 
     def test_gf_matches_batch_to_600(self, rng):
         seeds, stream = random_seeds(rng), random_stream(rng, 601)

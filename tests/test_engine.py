@@ -178,7 +178,7 @@ EXP_COS = [2, 1, -1, -2, -1, 1]           # 2 cos(pi k / 3)
 
 
 def scaled_seeds(ic, lam, pattern):
-    vals = [v * lam ** pattern[k % 6] for k, v in enumerate(ic.as_tuple())]
+    vals = [v * lam ** pattern[k % 6] for k, v in enumerate(ic)]
     return InitialConditions(*vals)
 
 

@@ -178,7 +178,7 @@ def test_the_boundary_makes_rationals():
     rng = random.Random(0)
     pairs = [(1, Fraction(1, 2)), (Fraction(-3), 0)]
     made = [parse_rational("3"), parse_rational("-3/7"),
-            *InitialConditions.of(1, Fraction(1, 2), -2, 3).as_tuple(),
+            *InitialConditions.of(1, Fraction(1, 2), -2, 3),
             *CoefficientStream.constant(2, Fraction(1, 3)).pairs[0],
             *(x for ctor in (CoefficientStream.periodic, CoefficientStream.explicit)
               for pair in ctor(pairs).pairs for x in pair),

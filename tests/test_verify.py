@@ -27,7 +27,7 @@ class TestSkips:
         # seed gate: every skip it counts is a singular iteration
         rng = random.Random(0)
         for _ in range(1000):
-            assert 0 not in verify.random_seeds(rng).as_tuple()
+            assert 0 not in verify.random_seeds(rng)
 
     def test_singular_at_step_0(self):
         stream = CoefficientStream.periodic([(-1, 1), (2, 1)])
@@ -247,7 +247,7 @@ def test_sampler_draws_are_pinned():
     draws = []
     for horizon in (0, 0, 0, 1, 3) + (0,) * 11:
         ic, stream = verify.random_seeds(rng), verify.random_stream(rng, horizon)
-        draws.append(" ".join(map(str, ic.as_tuple())) + f" {stream.kind[0]} "
+        draws.append(" ".join(map(str, ic)) + f" {stream.kind[0]} "
                      + " ".join(f"{a},{b}" for a, b in stream.pairs))
     assert draws == [
         "4/7 -8/5 1 4/5 p -1/3,-1 -5/2,-1/9 -1,-3",
