@@ -98,8 +98,11 @@ def _block_product(ic: InitialConditions, vs: list[Rational], n: int, j: int) ->
     """x_m, m = 6n + j - 3, from a checked fold holding at least V_0..V_m:
     the prefactor times the n block ratios V_{6s+j}/V_{6s+j+3}, multiplied
     in balanced product trees.  At n = 0 the product is the prefactor alone."""
-    # the prefactor x_{j-3}: a seed, or for j = 4, 5 V's definition inverted at t = j - 3
-    head = ic[j] if j <= 3 else 1 / (ic[j - 3] * vs[j - 3])
+    # the prefactor x_{j-3}: a seed, or for j = 4, 5 V's definition inverted
+    # at t = j - 3.  Written j < 4, not j <= 3: at j = 3 both branches give
+    # x_0, so tools/mutate.py's j < 3 would survive, while j <= 4 and j < 5
+    # each index past the seeds
+    head = ic[j] if j < 4 else 1 / (ic[j - 3] * vs[j - 3])
     if n == 0:
         return head
     factors = [head] + [vs[t] / vs[t + 3] for t in range(j, 6 * n, 6)]

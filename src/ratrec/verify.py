@@ -12,6 +12,7 @@ and counted, not failed.  The float symmetry-residual sweep is only reported.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from ratrec.closed_form import _block_product, _v_checked
 from ratrec.core import (
@@ -47,38 +48,20 @@ def random_stream(rng: random.Random, horizon: int) -> CoefficientStream:
 
 
 def random_seeds(rng: random.Random) -> InitialConditions:
-    return InitialConditions.of(*(random_rational(rng, nonzero=True) for _ in range(4)))
+    return InitialConditions(*(random_rational(rng, nonzero=True) for _ in range(4)))
 
 
-class Witness:
+class Witness(namedtuple("Witness", "seeds stream index expected got")):
     """Minimal failing instance for a verification mismatch."""
 
-    __slots__ = ("seeds", "stream", "index", "expected", "got")
-
-    def __init__(self, seeds: InitialConditions, stream: CoefficientStream, index: int,
-                 expected: Rational, got: Rational):
-        self.seeds, self.stream, self.index = seeds, stream, index
-        self.expected, self.got = expected, got
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is Witness else NotImplemented
-
-    def __repr__(self) -> str:
-        fields = zip(self.__slots__, self._fields())
-        return f"Witness({', '.join(f'{k}={v!r}' for k, v in fields)})"
+    __slots__ = ()
 
 
-class VerificationReport:
-    """One run's counts and its first witness; each starts at the class's value."""
+class VerificationReport(namedtuple(
+        "VerificationReport", "trials_run trials_skipped max_symmetry_residual witness")):
+    """One run's counts, its symmetry residual and its first Witness, or None."""
 
-    trials_run = 0
-    trials_skipped = 0
-    max_symmetry_residual = 0.0
-    witness = None  # the first Witness, if any
-    indices_checked = 0
+    __slots__ = ()
 
     @property
     def all_exact_match(self) -> bool:
@@ -126,20 +109,19 @@ def run_verification(trials: int, horizon: int, seed: int) -> VerificationReport
     if trials < 1:
         raise ValueError(f"verification needs trials >= 1, got {trials}")
     rng = random.Random(seed)
-    report = VerificationReport()
+    run = skipped = 0
+    first = None
     for _ in range(trials):
         ic = random_seeds(rng)
         stream = random_stream(rng, horizon)
         try:
             witness = check_instance(ic, stream, horizon)
         except _Skip:
-            report.trials_skipped += 1
+            skipped += 1
             continue
-        report.trials_run += 1
-        report.indices_checked += horizon + 4
-        if report.witness is None:
-            report.witness = witness
+        run += 1
+        if first is None:
+            first = witness
     samples = symmetry.random_samples(rng, RESIDUAL_SAMPLES)
-    report.max_symmetry_residual = max(
-        symmetry.residual_sweep(g, samples) for g in symmetry.BUILTINS.values())
-    return report
+    residual = max(symmetry.residual_sweep(g, samples) for g in symmetry.BUILTINS.values())
+    return VerificationReport(run, skipped, residual, first)

@@ -1,9 +1,9 @@
 """The package's record types: equality, hashing, text and persistence.
 
-``InitialConditions``, ``CoefficientStream`` and ``Trajectory`` are frozen:
-equal records compare and hash equal, and no field can be assigned.  A
-verify ``Witness`` compares field by field, and, mutable, has no hash.
-Each prints as ``Name(field=value, ...)`` and survives pickle and copy.
+``InitialConditions``, ``CoefficientStream``, ``Trajectory`` and verify's
+``Witness`` and ``VerificationReport`` are frozen: equal records compare
+and hash equal, and no field can be assigned.  Each prints as
+``Name(field=value, ...)`` and survives pickle and copy.
 """
 
 import copy
@@ -28,6 +28,14 @@ SEEDS_REPR = ("InitialConditions(x_m3=Rational(1, 1), x_m2=Rational(-2, 1), "
 STREAM_REPR = ("CoefficientStream(kind='periodic', pairs=((Rational(1, 1), Rational(0, 1)), "
                "(Rational(-1, 2), Rational(3, 1))))")
 
+
+def witness(index=3):
+    return Witness(seeds(), stream(), index, Rational(1, 2), Rational(2))
+
+
+WITNESS_REPR = (f"Witness(seeds={SEEDS_REPR}, stream={STREAM_REPR}, index=3, "
+                "expected=Rational(1, 2), got=Rational(2, 1))")
+
 # each record kind: (a builder of equal copies, its field names, its repr)
 FROZEN = {
     "InitialConditions": (seeds, ("x_m3", "x_m2", "x_m1", "x_0"), SEEDS_REPR),
@@ -37,16 +45,13 @@ FROZEN = {
         ("values", "products", "singular"),
         "Trajectory(values=(Rational(1, 1), Rational(2, 1)), products=(Rational(3, 1),), "
         "singular='zero-bracket')"),
+    "Witness": (witness, ("seeds", "stream", "index", "expected", "got"), WITNESS_REPR),
+    "VerificationReport": (
+        lambda: VerificationReport(5, 2, 0.25, witness()),
+        ("trials_run", "trials_skipped", "max_symmetry_residual", "witness"),
+        "VerificationReport(trials_run=5, trials_skipped=2, max_symmetry_residual=0.25, "
+        f"witness={WITNESS_REPR})"),
 }
-
-
-def witness(index=3):
-    return Witness(seeds(), stream(), index, Rational(1, 2), Rational(2))
-
-
-WITNESS_REPR = (f"Witness(seeds={SEEDS_REPR}, stream={STREAM_REPR}, index=3, "
-                "expected=Rational(1, 2), got=Rational(2, 1))")
-ALL = {**FROZEN, "Witness": (witness, None, WITNESS_REPR)}
 
 
 class TestFrozenRecords:
@@ -74,30 +79,19 @@ class TestFrozenRecords:
         assert seeds() != InitialConditions.of(1, -2, Rational(3, 4), 6)
         assert stream() != CoefficientStream.explicit([(1, 0), (Rational(-1, 2), 3)])
         assert Trajectory((), ()) != Trajectory((), (), "zero-x-factor")
-
-
-class TestWitness:
-    def test_compares_field_by_field(self):
-        assert witness() == witness() and not witness() != witness()
         assert witness() != witness(index=4)
-        assert witness() != Witness(seeds(), stream(), 3, Rational(1, 2), Rational(3))
-        # a record of its own kind, not a tuple of its fields
-        assert witness() != (seeds(), stream(), 3, Rational(1, 2), Rational(2))
-
-    def test_has_no_hash(self):
-        with pytest.raises(TypeError):
-            hash(witness())
+        assert VerificationReport(5, 2, 0.25, None) != VerificationReport(5, 2, 0.25, witness())
 
 
 class TestEveryRecord:
-    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("name", FROZEN)
     def test_repr(self, name):
-        make, _, text = ALL[name]
+        make, _, text = FROZEN[name]
         assert repr(make()) == text
 
-    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("name", FROZEN)
     def test_pickle_and_copy(self, name):
-        record = ALL[name][0]()
+        record = FROZEN[name][0]()
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
                      copy.deepcopy(record)):
             assert type(twin) is type(record) and twin == record
@@ -125,10 +119,3 @@ class TestCoefficientStreamChecks:
 def test_trajectory_is_regular_by_default():
     traj = Trajectory((), ())
     assert traj.singular is None and traj.is_regular
-
-
-def test_fresh_report_is_empty():
-    report = VerificationReport()
-    assert (report.trials_run, report.trials_skipped, report.indices_checked) == (0, 0, 0)
-    assert report.max_symmetry_residual == 0.0 and report.witness is None
-    assert report.all_exact_match

@@ -19,10 +19,11 @@ engine.py (``tests/test_engine.py tests/test_symmetry.py::TestPhi``, about
 cli.py (``tests/test_cli.py``, about 100 s), rational.py
 (``tests/test_rational.py``, about 1 min), verify.py
 (``tests/test_verify.py tests/test_cli.py::TestVerifyMode
-tests/test_acceptance.py``, about 1 min) and core.py (``tests/test_core.py
+tests/test_acceptance.py``, about 1 min), core.py (``tests/test_core.py
 tests/test_records.py tests/test_engine.py tests/test_closed_form.py
-tests/test_reduced.py``, about 1 min).  The other modules are audited
-by hand; README.md lists their selections.  Exit
+tests/test_reduced.py``, about 1 min) and closed_form.py
+(``tests/test_closed_form.py``, about 1 min).  symmetry.py is audited
+by hand; README.md lists its selection.  Exit
 status: 0 when every mutant is killed, 1 when one survives, 2 when the
 unmutated module already fails.
 """
