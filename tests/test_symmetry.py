@@ -82,6 +82,25 @@ class TestSymmetryResidual:
         worst = max(abs(symmetry_residual(CONTROL, *s)) for s in sample_sweep(rng))
         assert worst >= 1e-3
 
+    def test_value(self, rng):
+        # with P = u_n u_{n+3}, B = a + b P and phi = P/(u_{n+1} B), the residual
+        # is phi (g(n+1) + g(n+4)) - a P/(u_{n+1} B^2) (g(n) + g(n+3)).  Both
+        # sums vanish on the built-in tables, whatever B is, so only a table
+        # that fails the equations pins B: the control, where it is
+        # 2 b P^2/(u_{n+1} B^2), and a generic table
+        generic = (1 + 0j, 2j, -3 + 0j, 0.5 + 1j, 0.25 + 0j, -1.5j)
+        for n, u_n, u_n1, u_n3, a, b in symmetry.random_samples(rng, 200):
+            p = u_n * u_n3
+            bracket = a + b * p
+            phi = p / (u_n1 * bracket)
+            for g in (CONTROL, generic):
+                want = (phi * (g[(n + 1) % 6] + g[(n + 4) % 6])
+                        - a * p / (u_n1 * bracket ** 2) * (g[n % 6] + g[(n + 3) % 6]))
+                got = symmetry_residual(g, n, u_n, u_n1, u_n3, a, b)
+                assert got == pytest.approx(want, rel=1e-12)
+            assert symmetry_residual(CONTROL, n, u_n, u_n1, u_n3, a, b) == pytest.approx(
+                2 * b * p ** 2 / (u_n1 * bracket ** 2), rel=1e-12)
+
 
 def test_sampler_draws_are_pinned():
     # 28 points of seed 0, as the symmetry mode draws them: n, then five

@@ -1,31 +1,29 @@
-"""Mutation testing of one module of the package, standard library only.
+"""Mutation audit of the package's modules, standard library only.
 
-Each mutant changes one site of the module: an arithmetic operator or a
+Each mutant changes one site of a module: an arithmetic operator or a
 comparison operator swapped for a neighbour, or an integer constant
-increased by 1.  Every mutant runs the given pytest selection in a
-temporary copy of src/, tests/ and pyproject.toml, never in the working
-tree: pyproject's ``pythonpath`` puts the rootdir's src first on
-``sys.path``, so a copy of src/ alone would still import the real package.
-A mutant survives when the selection passes; each survivor is printed as
-file:line:column and the mutation, then the totals.
+increased by 1.  ``AUDITS`` is the one table of the audits: for each module
+of src/ratrec with a mutation site, the pytest selection that must kill its
+mutants, and the survivors accepted as equivalent, each with the argument
+that it is one.
 
-    python3 tools/mutate.py src/ratrec/cli.py tests/test_cli.py \\
-        tests/test_acceptance.py::test_criterion_9_cli_contract
+    python3 tools/mutate.py                      # every module in AUDITS
+    python3 tools/mutate.py symmetry.py cli.py   # the named modules
 
-The mutants run one after another, each for about as long as the
-selection, so CI audits only the modules whose selections are short:
-engine.py (``tests/test_engine.py tests/test_symmetry.py::TestPhi``, about
-30 s in all), reduced.py (``tests/test_reduced.py``, about 10 s),
-cli.py (``tests/test_cli.py``, about 100 s), rational.py
-(``tests/test_rational.py``, about 1 min), verify.py
-(``tests/test_verify.py tests/test_cli.py::TestVerifyMode
-tests/test_acceptance.py``, about 1 min), core.py (``tests/test_core.py
-tests/test_records.py tests/test_engine.py tests/test_closed_form.py
-tests/test_reduced.py``, about 1 min) and closed_form.py
-(``tests/test_closed_form.py``, about 1 min).  symmetry.py is audited
-by hand; README.md lists its selection.  Exit
-status: 0 when every mutant is killed, 1 when one survives, 2 when the
-unmutated module already fails.
+Every mutant runs its module's selection in a temporary copy of src/,
+tests/ and pyproject.toml, never in the working tree: pyproject's
+``pythonpath`` puts the rootdir's src first on ``sys.path``, so a copy of
+src/ alone would still import the real package.  A mutant survives when the
+selection passes.  It is named file:line:column-end: mutation, 1-based, where
+end is the site's last column (line:column when it ends on a later line),
+followed by [k] for the k-th operator of a chained comparison, from 0: for
+example ``symmetry.py:68:27-31: + -> -``.  The mutants run one after another,
+each for about as long as the selection; README.md gives each module's time.
+
+Each unlisted survivor and each stale entry (a listed mutant that is killed)
+is printed, then each module's totals and elapsed seconds.  Exit status: 0
+when every mutant is killed or listed, 1 on an unlisted survivor or a stale
+entry, 2 when an unmutated module already fails its selection.
 """
 
 from __future__ import annotations
@@ -39,10 +37,36 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
+from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ratrec"
 TIMEOUT_S = 600  # one run of the selection; a mutant that loops forever is killed
+
+Audit = namedtuple("Audit", "selection equivalents", defaults=((),))
+
+# each module's selection and accepted survivors.  An entry is never listed
+# to make an audit pass, only with the argument that the mutant computes
+# what the module does
+AUDITS = {
+    "engine.py": Audit(("tests/test_engine.py", "tests/test_symmetry.py::TestPhi")),
+    "reduced.py": Audit(("tests/test_reduced.py",)),
+    "cli.py": Audit(("tests/test_cli.py",)),
+    "rational.py": Audit(("tests/test_rational.py",)),
+    "verify.py": Audit(("tests/test_verify.py", "tests/test_cli.py::TestVerifyMode",
+                        "tests/test_acceptance.py")),
+    "core.py": Audit(("tests/test_core.py", "tests/test_records.py", "tests/test_engine.py",
+                      "tests/test_closed_form.py", "tests/test_reduced.py")),
+    # no survivor: the prefactor test is written j < 4, whose mutants index
+    # past the seeds, because j <= 3 -> j < 3 would be equivalent
+    "closed_form.py": Audit(("tests/test_closed_form.py",)),
+    "symmetry.py": Audit(("tests/test_symmetry.py",), (
+        # g[(n + 3) % 6] and g[(n - 3) % 6] read one entry: the indices differ by 6
+        "symmetry.py:68:27-31: + -> -",
+    )),
+}
 
 # each operator and the one it is swapped for
 SWAPS = {
@@ -89,6 +113,36 @@ def mutate(node: ast.AST, slot) -> str:
     return f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
 
 
+def position(node: ast.AST, slot) -> str:
+    """The site's line:column-end, unique in its module: nested operations
+    share a start but not an end, and a chained comparison's operators
+    share both, so theirs carry the operator's index."""
+    end = str(node.end_col_offset)
+    if node.end_lineno != node.lineno:
+        end = f"{node.end_lineno}:{end}"
+    index = f"[{slot}]" if isinstance(slot, int) and len(node.ops) > 1 else ""
+    return f"{node.lineno}:{node.col_offset + 1}-{end}{index}"
+
+
+def mutants(module: str, source: str):
+    """Yield (name, mutated source) for each site of the module's source,
+    each mutated in a fresh parse."""
+    for k in itertools.count():
+        tree = ast.parse(source)
+        site = next(itertools.islice(sites(tree), k, None), None)
+        if site is None:
+            return
+        what = mutate(*site)
+        yield f"{module}:{position(*site)}: {what}", ast.unparse(tree)
+
+
+def verdict(survivors, equivalents) -> tuple[list, list]:
+    """The survivors that no entry lists, and the stale entries: listed
+    mutants that were killed.  An audit passes when both are empty."""
+    return ([name for name in survivors if name not in equivalents],
+            [name for name in equivalents if name not in survivors])
+
+
 def run_selection(copy: Path, selection) -> str:
     """Run pytest in the copy: "passed", "failed" or "timeout"."""
     # no .pyc: a mutant of the same size written within the same second
@@ -110,44 +164,58 @@ def run_selection(copy: Path, selection) -> str:
     return "passed" if code == 0 else "failed"
 
 
+def audit(copy: Path, module: str) -> int:
+    """Audit one module of the copy against its AUDITS entry; the exit status."""
+    selection, equivalents = AUDITS[module]
+    target = copy / "src" / "ratrec" / module
+    source = target.read_text()
+    start = time.monotonic()
+    try:
+        # every mutant is unparsed from the tree, so the unmutated module
+        # must pass in that form first
+        target.write_text(ast.unparse(ast.parse(source)))
+        if run_selection(copy, selection) != "passed":
+            print(f"the unmutated {module} fails its selection", file=sys.stderr)
+            return 2
+        count = timeouts = 0
+        survivors = []
+        for name, mutated in mutants(module, source):
+            count += 1
+            target.write_text(mutated)
+            outcome = run_selection(copy, selection)
+            timeouts += outcome == "timeout"
+            if outcome == "passed":
+                survivors.append(name)
+                if name not in equivalents:
+                    print(name, flush=True)
+    finally:
+        target.write_text(source)
+    unlisted, stale = verdict(survivors, equivalents)
+    for name in stale:
+        print(f"{name}: listed as equivalent, but killed", flush=True)
+    print(f"{module}: {count} mutants: {count - len(survivors)} killed ({timeouts} by "
+          f"timeout), {len(survivors) - len(unlisted)} listed equivalent, "
+          f"{len(unlisted)} survived, {time.monotonic() - start:.0f} s", flush=True)
+    return 1 if unlisted or stale else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("module", help="module to mutate, relative to the repository root")
-    ap.add_argument("selection", nargs="+", help="pytest selection, e.g. tests/test_cli.py")
+    ap.add_argument("module", nargs="*",
+                    help=f"module of src/ratrec to audit, of {', '.join(AUDITS)}; "
+                         "every one when none is named")
     args = ap.parse_args(argv)
+    unknown = [name for name in args.module if name not in AUDITS]
+    if unknown:
+        ap.error(f"no audit for {', '.join(unknown)}")
 
-    source = (ROOT / args.module).read_text()
-    count = sum(1 for _ in sites(ast.parse(source)))
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy)
-        target = copy / args.module
-
-        # every mutant is unparsed from the tree, so the unmutated module
-        # must pass in that form first
-        target.write_text(ast.unparse(ast.parse(source)))
-        if run_selection(copy, args.selection) != "passed":
-            print(f"the unmutated {args.module} fails the selection", file=sys.stderr)
-            return 2
-
-        survivors = timeouts = 0
-        for k in range(count):
-            tree = ast.parse(source)
-            node, slot = next(itertools.islice(sites(tree), k, None))
-            what = mutate(node, slot)
-            target.write_text(ast.unparse(tree))
-            outcome = run_selection(copy, args.selection)
-            timeouts += outcome == "timeout"
-            if outcome == "passed":
-                survivors += 1
-                print(f"{args.module}:{node.lineno}:{node.col_offset + 1}: {what}",
-                      flush=True)
-    print(f"{count} mutants: {count - survivors} killed ({timeouts} by timeout), "
-          f"{survivors} survived")
-    return 1 if survivors else 0
+        return max(audit(copy, module) for module in args.module or AUDITS)
 
 
 if __name__ == "__main__":
